@@ -49,16 +49,12 @@ import (
 	"sync"
 	"syscall"
 
-	"github.com/mistralcloud/mistral"
 	"github.com/mistralcloud/mistral/internal/checkpoint"
+	"github.com/mistralcloud/mistral/internal/core"
 	"github.com/mistralcloud/mistral/internal/experiments"
-	"github.com/mistralcloud/mistral/internal/fault"
-	"github.com/mistralcloud/mistral/internal/guard"
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/provenance"
 	"github.com/mistralcloud/mistral/internal/scenario"
-	"github.com/mistralcloud/mistral/internal/strategy"
-	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
 func main() {
@@ -87,29 +83,20 @@ func run() (err error) {
 		autoCkPath   = flag.String("auto-checkpoint", "", "on SIGTERM/SIGINT, drain the in-flight window and write a final checkpoint to FILE before exiting")
 	)
 	flag.Parse()
-	if *faultRate < 0 || *faultRate > 1 {
-		return fmt.Errorf("-fault-rate %v out of [0,1]", *faultRate)
-	}
-	if *faultSeed == 0 {
-		*faultSeed = *seed
-	}
-	exec, err := testbed.ParseExecPolicy(*execPolicy)
-	if err != nil {
-		return err
-	}
 
-	s := &server{
-		strategyName: strings.ToLower(*strategyName),
-		workers:      *workers,
-		faultRate:    *faultRate,
-		faultSeed:    *faultSeed,
-		execPolicy:   exec,
-		guardOn:      *guardOn,
-		labOpts:      experiments.LabOptions{NumApps: *numApps, NumHosts: *numHosts, Seed: *seed, Zones: *zones},
+	r := experiments.Recipe{
+		Strategy:   *strategyName,
+		Workers:    *workers,
+		Lab:        experiments.LabOptions{NumApps: *numApps, NumHosts: *numHosts, Seed: *seed, Zones: *zones},
+		FaultRate:  *faultRate,
+		FaultSeed:  *faultSeed,
+		ExecPolicy: *execPolicy,
+		Guard:      *guardOn,
 	}
 	if *dvfs {
-		s.labOpts.DVFSLevels = []float64{0.6, 0.8}
+		r.Lab.DVFSLevels = []float64{0.6, 0.8}
 	}
+	s := &server{}
 
 	// The control API mounts next to /metrics//ops on one listener; the
 	// handlers hold the server pointer, so they serve correctly once the
@@ -132,21 +119,21 @@ func run() (err error) {
 	s.ob = ob
 
 	if *resumePath != "" {
-		ck, err := checkpoint.Read(*resumePath)
-		if err != nil {
-			return err
+		var ck *checkpoint.File
+		if ck, err = checkpoint.Read(*resumePath); err == nil {
+			err = s.restore(ck)
 		}
-		if err := s.restoreFrom(ck); err != nil {
-			return err
-		}
-	} else if err := s.rebuild(); err != nil {
+	} else {
+		err = s.rebuild(r)
+	}
+	if err != nil {
 		return err
 	}
 
 	s.mu.Lock()
 	fmt.Fprintf(os.Stderr, "mistral-serve: %s strategy, %d apps on %d hosts, interval %s, window %d — control API on http://%s/v1/\n",
-		s.engine.Result().Strategy, s.lab.Opts.NumApps, s.lab.Opts.NumHosts,
-		s.engine.Interval(), s.engine.WindowIndex(), ob.HTTPAddr)
+		s.env.Decider.Name(), s.env.Lab.Opts.NumApps, s.env.Lab.Opts.NumHosts,
+		s.env.Engine.Interval(), s.env.Engine.WindowIndex(), ob.HTTPAddr)
 	s.mu.Unlock()
 
 	// Serve until interrupted; the obs closer shuts the listener down.
@@ -165,37 +152,24 @@ func run() (err error) {
 			s.mu.Unlock()
 			return fmt.Errorf("auto-checkpoint: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "mistral-serve: checkpoint written to %s (window %d)\n", *autoCkPath, s.engine.WindowIndex())
+		fmt.Fprintf(os.Stderr, "mistral-serve: checkpoint written to %s (window %d)\n", *autoCkPath, s.env.Engine.WindowIndex())
 	}
 	fmt.Fprintln(os.Stderr, "mistral-serve: shutting down")
 	return nil
 }
 
-// server is the daemon: one engine plus the declarative fleet recipe it
-// was built from, all guarded by a single mutex (control decisions are
-// inherently serial — each window's decision depends on the last).
+// server is the daemon: one environment built from a recipe, guarded by
+// a single mutex (control decisions are inherently serial — each window's
+// decision depends on the last).
 type server struct {
 	mu sync.Mutex
 
 	ob *obs.Observer
 
-	// Environment recipe (what a checkpoint records).
-	strategyName string
-	workers      int
-	faultRate    float64
-	faultSeed    uint64
-	execPolicy   testbed.ExecPolicy
-	guardOn      bool
-	labOpts      experiments.LabOptions
-
-	// Live engine state, rebuilt on fleet changes and restores.
-	lab     *experiments.Lab
-	inj     *fault.Injector
-	guard   *guard.Guard
-	decider mistral.Decider
-	engine  *scenario.Engine
+	// Live environment, replaced whole on fleet changes and restores; its
+	// Recipe is what a checkpoint records.
+	env     *experiments.Env
 	provBuf *lockedBuffer
-	rec     *provenance.Recorder
 	windows []windowResp
 }
 
@@ -221,92 +195,45 @@ func (b *lockedBuffer) Bytes() []byte {
 	return out
 }
 
-// rebuild constructs a fresh lab, testbed, strategy, and engine from the
-// current recipe, dropping all prior control state. Callers hold s.mu or
-// are single-threaded startup.
-func (s *server) rebuild() error {
-	lab, err := experiments.NewLab(s.labOpts)
-	if err != nil {
-		return err
-	}
-	inj := fault.New(fault.Profile(s.faultRate, s.faultSeed))
-	tb, err := lab.NewTestbedExec(inj, s.execPolicy)
-	if err != nil {
-		return err
-	}
-	var g *guard.Guard
-	if s.guardOn {
-		g = guard.New(guard.Config{Obs: s.ob}, lab.Cat)
-	}
-	eval, err := lab.NewEvaluator()
-	if err != nil {
-		return err
-	}
+// build assembles a fresh environment from r with its own in-memory
+// provenance sink, leaving the live one untouched.
+func (s *server) build(r experiments.Recipe) (*experiments.Env, *lockedBuffer, error) {
 	provBuf := &lockedBuffer{}
-	rec := provenance.NewRecorder(provBuf)
-	var decider mistral.Decider
-	switch s.strategyName {
-	case "mistral", "naive":
-		decider, err = strategy.NewMistral(eval, strategy.MistralConfig{
-			HostGroups:         lab.HostGroups(),
-			Naive:              s.strategyName == "naive",
-			MonitoringInterval: lab.Util.MonitoringInterval,
-			Workers:            s.workers,
-			Provenance:         true,
-		})
-	case "perf-pwr":
-		decider = strategy.NewPerfPwr(eval)
-	case "perf-cost":
-		decider, err = strategy.NewPerfCost(eval, lab.Util)
-	case "pwr-cost":
-		decider = strategy.NewPwrCost(eval)
-	default:
-		return fmt.Errorf("unknown strategy %q", s.strategyName)
-	}
-	if err != nil {
-		return err
-	}
-	engine, err := scenario.NewEngine(tb, decider, scenario.RunConfig{
-		Traces:     lab.Traces,
-		Interval:   lab.Util.MonitoringInterval,
-		Utility:    lab.Util,
-		Workers:    s.workers,
+	env, err := experiments.Build(r, core.SearchOptions{}, experiments.Attach{
 		Obs:        s.ob,
-		Fault:      inj,
-		Guard:      g,
-		Provenance: rec,
+		Provenance: provenance.NewRecorder(provBuf),
 		// The daemon's flight recorder always carries per-step outcomes:
 		// a skipped or rolled-back step's cause is an operator question,
 		// and the daemon has no byte-compat goldens to preserve.
 		StepProvenance: true,
 	})
+	return env, provBuf, err
+}
+
+// rebuild replaces the live environment with a fresh one built from r,
+// dropping all prior control state; on error the live one stays. Callers
+// hold s.mu or are single-threaded startup.
+func (s *server) rebuild(r experiments.Recipe) error {
+	env, provBuf, err := s.build(r)
 	if err != nil {
 		return err
 	}
-	s.lab, s.inj, s.guard, s.decider, s.engine = lab, inj, g, decider, engine
-	s.provBuf, s.rec = provBuf, rec
-	s.windows = nil
+	s.env, s.provBuf, s.windows = env, provBuf, nil
 	return nil
 }
 
-// restoreFrom adopts a checkpoint's recipe, rebuilds the environment from
-// it, and restores the engine state.
-func (s *server) restoreFrom(ck *checkpoint.File) error {
-	exec, err := testbed.ParseExecPolicy(ck.ExecPolicy)
+// restore builds the checkpoint's recipe and restores its snapshot into
+// the new environment, which goes live only if both succeed.
+func (s *server) restore(ck *checkpoint.File) error {
+	env, provBuf, err := s.build(ck.Recipe())
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	s.strategyName = ck.Strategy
-	s.workers = ck.Workers
-	s.faultRate = ck.FaultRate
-	s.faultSeed = ck.FaultSeed
-	s.execPolicy = exec
-	s.guardOn = ck.Guard
-	s.labOpts = ck.Lab
-	if err := s.rebuild(); err != nil {
+	if err := env.Engine.Restore(ck.Scenario); err != nil {
 		return err
 	}
-	return s.engine.Restore(ck.Scenario)
+	s.env, s.provBuf, s.windows = env, provBuf, nil
+	return nil
 }
 
 // windowResp is one completed window in API form.
@@ -453,7 +380,7 @@ func (s *server) handler(method string, fn func(r *http.Request) (any, error)) h
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if s.engine == nil {
+		if s.env == nil {
 			writeErr(http.StatusServiceUnavailable, "engine not ready")
 			return
 		}
@@ -471,21 +398,22 @@ func (s *server) handler(method string, fn func(r *http.Request) (any, error)) h
 }
 
 func (s *server) stateLocked() stateResp {
+	env, eng := s.env, s.env.Engine
 	st := stateResp{
-		Strategy:    s.engine.Result().Strategy,
-		Apps:        append([]string(nil), s.lab.AppNames...),
-		Hosts:       s.lab.Opts.NumHosts,
-		Window:      s.engine.WindowIndex(),
-		NowSec:      s.engine.Now().Seconds(),
-		IntervalSec: s.engine.Interval().Seconds(),
-		CumUtility:  s.engine.Result().CumUtility,
-		FaultRate:   s.faultRate,
-		Workers:     s.workers,
-		ExecPolicy:  s.execPolicy.String(),
+		Strategy:    eng.Result().Strategy,
+		Apps:        append([]string(nil), env.Lab.AppNames...),
+		Hosts:       env.Lab.Opts.NumHosts,
+		Window:      eng.WindowIndex(),
+		NowSec:      eng.Now().Seconds(),
+		IntervalSec: eng.Interval().Seconds(),
+		CumUtility:  eng.Result().CumUtility,
+		FaultRate:   env.Recipe.FaultRate,
+		Workers:     env.Recipe.Workers,
+		ExecPolicy:  env.Recipe.ExecPolicy,
 	}
-	if s.guardOn {
+	if env.Guard != nil {
 		st.Guard = true
-		st.Breaker = s.guard.Breaker().String()
+		st.Breaker = env.Guard.Breaker().String()
 	}
 	return st
 }
@@ -512,9 +440,10 @@ func (s *server) handleWindow(r *http.Request) (any, error) {
 	// An optional sequence number makes the step idempotent against retries:
 	// a client that resends after a lost response (or races another client)
 	// gets a conflict instead of silently double-advancing the replay.
-	if req.Window != nil && *req.Window != s.engine.WindowIndex() {
+	eng := s.env.Engine
+	if req.Window != nil && *req.Window != eng.WindowIndex() {
 		return nil, &apiError{status: http.StatusConflict,
-			msg: fmt.Sprintf("window %d out of sequence (next window is %d)", *req.Window, s.engine.WindowIndex())}
+			msg: fmt.Sprintf("window %d out of sequence (next window is %d)", *req.Window, eng.WindowIndex())}
 	}
 	n := req.Windows
 	if n <= 0 {
@@ -525,9 +454,9 @@ func (s *server) handleWindow(r *http.Request) (any, error) {
 		var sr scenario.StepResult
 		var err error
 		if req.Rates != nil {
-			sr, err = s.engine.StepRates(req.Rates)
+			sr, err = eng.StepRates(req.Rates)
 		} else {
-			sr, err = s.engine.Step()
+			sr, err = eng.Step()
 		}
 		if err != nil {
 			return nil, badRequest("window %d: %v", sr.Index, err)
@@ -593,7 +522,7 @@ func (s *server) handleFleet(r *http.Request) (any, error) {
 		return nil, err
 	}
 	if req.Apps == 0 {
-		req.Apps = s.lab.Opts.NumApps
+		req.Apps = s.env.Lab.Opts.NumApps
 	}
 	return s.resize(req.Apps, req.Hosts)
 }
@@ -601,8 +530,8 @@ func (s *server) handleFleet(r *http.Request) (any, error) {
 // deltaHandler returns an endpoint that admits or removes one app or host.
 func (s *server) deltaHandler(dApps, dHosts int) func(r *http.Request) (any, error) {
 	return func(r *http.Request) (any, error) {
-		apps := s.lab.Opts.NumApps + dApps
-		hosts := s.lab.Opts.NumHosts
+		apps := s.env.Lab.Opts.NumApps + dApps
+		hosts := s.env.Lab.Opts.NumHosts
 		if dHosts != 0 {
 			hosts += dHosts
 		} else if dApps != 0 {
@@ -615,40 +544,22 @@ func (s *server) deltaHandler(dApps, dHosts int) func(r *http.Request) (any, err
 }
 
 func (s *server) resize(apps, hosts int) (any, error) {
-	if apps < 1 || apps > 4 {
-		return nil, badRequest("apps must be in 1..4 (got %d)", apps)
-	}
-	if hosts < 0 {
-		return nil, badRequest("hosts must be positive (got %d)", hosts)
-	}
-	prev := s.labOpts
-	s.labOpts.NumApps = apps
-	s.labOpts.NumHosts = hosts
-	if err := s.rebuild(); err != nil {
-		s.labOpts = prev
+	r := s.env.Recipe
+	r.Lab.NumApps, r.Lab.NumHosts = apps, hosts
+	if err := s.rebuild(r); err != nil {
 		return nil, badRequest("fleet rejected: %v", err)
 	}
 	return s.stateLocked(), nil
 }
 
-// writeCheckpointLocked snapshots the engine and persists the full
-// checkpoint envelope; callers hold s.mu.
+// writeCheckpointLocked snapshots the engine and persists it in the
+// envelope of the live recipe; callers hold s.mu.
 func (s *server) writeCheckpointLocked(path string) error {
-	snap, err := s.engine.Snapshot()
+	snap, err := s.env.Engine.Snapshot()
 	if err != nil {
 		return err
 	}
-	return checkpoint.Write(path, &checkpoint.File{
-		Schema:     checkpoint.Schema,
-		Strategy:   s.strategyName,
-		Workers:    s.workers,
-		Lab:        s.labOpts,
-		FaultRate:  s.faultRate,
-		FaultSeed:  s.faultSeed,
-		ExecPolicy: s.execPolicy.String(),
-		Guard:      s.guardOn,
-		Scenario:   snap,
-	})
+	return checkpoint.Write(path, checkpoint.New(s.env.Recipe, snap))
 }
 
 func (s *server) handleCheckpoint(r *http.Request) (any, error) {
@@ -664,7 +575,7 @@ func (s *server) handleCheckpoint(r *http.Request) (any, error) {
 	if err := s.writeCheckpointLocked(req.Path); err != nil {
 		return nil, err
 	}
-	return map[string]any{"path": req.Path, "window": s.engine.WindowIndex(), "time_sec": s.engine.Now().Seconds()}, nil
+	return map[string]any{"path": req.Path, "window": s.env.Engine.WindowIndex(), "time_sec": s.env.Engine.Now().Seconds()}, nil
 }
 
 func (s *server) handleRestore(r *http.Request) (any, error) {
@@ -681,7 +592,7 @@ func (s *server) handleRestore(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, badRequest("%v", err)
 	}
-	if err := s.restoreFrom(ck); err != nil {
+	if err := s.restore(ck); err != nil {
 		return nil, badRequest("restore failed: %v", err)
 	}
 	return s.stateLocked(), nil

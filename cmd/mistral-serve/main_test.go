@@ -6,24 +6,20 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"github.com/mistralcloud/mistral/internal/experiments"
-	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
 // newTestServer builds a 1-app daemon on the cheap perf-pwr strategy and
 // mounts the control API exactly as the obs plane would.
 func newTestServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
-	s := &server{
-		strategyName: "perf-pwr",
-		workers:      1,
-		execPolicy:   testbed.FailForward,
-		labOpts:      experiments.LabOptions{NumApps: 1, Seed: 7},
-	}
-	if err := s.rebuild(); err != nil {
+	s := &server{}
+	if err := s.rebuild(experiments.Recipe{Strategy: "perf-pwr", Workers: 1, Lab: experiments.LabOptions{NumApps: 1, Seed: 7}}); err != nil {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
@@ -168,7 +164,7 @@ func TestServeWindowSequencing(t *testing.T) {
 		t.Errorf("future window = %d, want 409", status)
 	}
 	s.mu.Lock()
-	if got := s.engine.WindowIndex(); got != 1 {
+	if got := s.env.Engine.WindowIndex(); got != 1 {
 		t.Errorf("engine advanced to window %d, want 1 (conflicts must not step)", got)
 	}
 	s.mu.Unlock()
@@ -191,14 +187,14 @@ func TestServeStateReportsSafetyPlanes(t *testing.T) {
 }
 
 func TestServeGuardedStateAndBreaker(t *testing.T) {
-	s := &server{
-		strategyName: "perf-pwr",
-		workers:      1,
-		execPolicy:   testbed.RollbackOnFailure,
-		guardOn:      true,
-		labOpts:      experiments.LabOptions{NumApps: 1, Seed: 7},
-	}
-	if err := s.rebuild(); err != nil {
+	s := &server{}
+	if err := s.rebuild(experiments.Recipe{
+		Strategy:   "perf-pwr",
+		Workers:    1,
+		Lab:        experiments.LabOptions{NumApps: 1, Seed: 7},
+		ExecPolicy: "rollback",
+		Guard:      true,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	st := s.stateLocked()
@@ -236,14 +232,14 @@ func TestServeCheckpointRoundTripKeepsRecipe(t *testing.T) {
 		t.Errorf("restored state window=%d exec=%q, want 3/fail-forward", st.Window, st.ExecPolicy)
 	}
 	s.mu.Lock()
-	if got := s.engine.WindowIndex(); got != 3 {
+	if got := s.env.Engine.WindowIndex(); got != 3 {
 		t.Errorf("restored engine at window %d, want 3", got)
 	}
 	s.mu.Unlock()
 }
 
 func TestServeNotReady(t *testing.T) {
-	s := &server{strategyName: "perf-pwr", execPolicy: testbed.FailForward}
+	s := &server{}
 	mux := http.NewServeMux()
 	for path, h := range s.routes() {
 		mux.Handle(path, h)
@@ -257,5 +253,64 @@ func TestServeNotReady(t *testing.T) {
 	}
 	if msg == "" {
 		t.Error("503 without structured error")
+	}
+}
+
+// TestServeFailedRestoreLeavesDaemonUnchanged pins that /v1/restore is
+// all-or-nothing: a checkpoint whose envelope names a different strategy
+// than its snapshot is refused, and the daemon keeps its window, its
+// state and the recipe its next checkpoint records.
+func TestServeFailedRestoreLeavesDaemonUnchanged(t *testing.T) {
+	_, ts := newTestServer(t)
+	if status, msg, _ := do(t, post(t, ts.URL+"/v1/window", "application/json", `{"windows":3}`)); status != http.StatusOK {
+		t.Fatalf("windows: %d (%s)", status, msg)
+	}
+	dir := t.TempDir()
+	checkpointTo := func(path string) map[string]any {
+		t.Helper()
+		body := fmt.Sprintf(`{"path":%q}`, path)
+		if status, msg, _ := do(t, post(t, ts.URL+"/v1/checkpoint", "application/json", body)); status != http.StatusOK {
+			t.Fatalf("checkpoint: %d (%s)", status, msg)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env map[string]any
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	state := func() []byte {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/state", nil)
+		status, msg, body := do(t, req)
+		if status != http.StatusOK {
+			t.Fatalf("state: %d (%s)", status, msg)
+		}
+		return body
+	}
+
+	ck := checkpointTo(filepath.Join(dir, "ck.json"))
+	ck["strategy"] = "pwr-cost"
+	raw, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := state()
+	status, msg, _ := do(t, post(t, ts.URL+"/v1/restore", "application/json", fmt.Sprintf(`{"path":%q}`, bad)))
+	if status != http.StatusBadRequest || !strings.Contains(msg, "strategy") {
+		t.Fatalf("mismatched restore = %d (%s), want 400 naming the strategy", status, msg)
+	}
+	if after := state(); string(after) != string(before) {
+		t.Errorf("failed restore moved the daemon:\nbefore %s\nafter  %s", before, after)
+	}
+	if got := checkpointTo(filepath.Join(dir, "after.json"))["strategy"]; got != "perf-pwr" {
+		t.Errorf("next checkpoint records strategy %v, want perf-pwr", got)
 	}
 }

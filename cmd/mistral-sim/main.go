@@ -22,16 +22,12 @@ import (
 	"strings"
 	"time"
 
-	"github.com/mistralcloud/mistral"
 	"github.com/mistralcloud/mistral/internal/checkpoint"
+	"github.com/mistralcloud/mistral/internal/core"
 	"github.com/mistralcloud/mistral/internal/experiments"
-	"github.com/mistralcloud/mistral/internal/fault"
-	"github.com/mistralcloud/mistral/internal/guard"
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/obs/slo"
 	"github.com/mistralcloud/mistral/internal/provenance"
-	"github.com/mistralcloud/mistral/internal/scenario"
-	"github.com/mistralcloud/mistral/internal/strategy"
 	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
@@ -93,53 +89,33 @@ func run() (err error) {
 		}
 	}()
 
-	// A checkpoint records the environment it was built from; resuming
-	// adopts that recipe wholesale so the rebuilt lab, strategy, and fault
-	// plane match the snapshot exactly.
+	// A checkpoint records the recipe it was built from; resuming adopts
+	// it wholesale so the rebuilt environment matches the snapshot exactly.
+	r := experiments.Recipe{
+		Strategy:   *strategyName,
+		Workers:    *workers,
+		Lab:        experiments.LabOptions{NumApps: *numApps, Seed: *seed, Zones: *zones},
+		FaultRate:  *faultRate,
+		FaultSeed:  *faultSeed,
+		ExecPolicy: *execPolicy,
+		Guard:      *guardOn,
+	}
+	if *dvfs {
+		r.Lab.DVFSLevels = []float64{0.6, 0.8}
+	}
 	var ckFile *checkpoint.File
 	if *resumePath != "" {
-		ckFile, err = checkpoint.Read(*resumePath)
-		if err != nil {
+		if ckFile, err = checkpoint.Read(*resumePath); err != nil {
 			return err
 		}
-		*strategyName = ckFile.Strategy
-		*workers = ckFile.Workers
-		*faultRate = ckFile.FaultRate
-		*faultSeed = ckFile.FaultSeed
-		*execPolicy = ckFile.ExecPolicy
-		*guardOn = ckFile.Guard
+		r = ckFile.Recipe()
 	}
-	exec, err := testbed.ParseExecPolicy(*execPolicy)
-	if err != nil {
+	// Build validates too; checking first keeps a bad recipe from
+	// creating any output file.
+	if err := r.Validate(); err != nil {
 		return err
 	}
 
-	labOpts := experiments.LabOptions{NumApps: *numApps, Seed: *seed, Zones: *zones}
-	if *dvfs {
-		labOpts.DVFSLevels = []float64{0.6, 0.8}
-	}
-	if ckFile != nil {
-		labOpts = ckFile.Lab
-	}
-	lab, err := experiments.NewLab(labOpts)
-	if err != nil {
-		return err
-	}
-	if *faultRate < 0 || *faultRate > 1 {
-		return fmt.Errorf("-fault-rate %v out of [0,1]", *faultRate)
-	}
-	if *faultSeed == 0 {
-		*faultSeed = *seed
-	}
-	inj := fault.New(fault.Profile(*faultRate, *faultSeed))
-	tb, err := lab.NewTestbedExec(inj, exec)
-	if err != nil {
-		return err
-	}
-	var grd *guard.Guard
-	if *guardOn {
-		grd = guard.New(guard.Config{Obs: ob}, lab.Cat)
-	}
 	var rec *provenance.Recorder
 	if *provPath != "" {
 		f, ferr := os.Create(*provPath)
@@ -153,40 +129,6 @@ func run() (err error) {
 		}()
 		rec = provenance.NewRecorder(f)
 	}
-	eval, err := lab.NewEvaluator()
-	if err != nil {
-		return err
-	}
-	var decider mistral.Decider
-	switch strings.ToLower(*strategyName) {
-	case "mistral", "naive":
-		decider, err = strategy.NewMistral(eval, strategy.MistralConfig{
-			HostGroups:         lab.HostGroups(),
-			Naive:              strings.EqualFold(*strategyName, "naive"),
-			MonitoringInterval: lab.Util.MonitoringInterval,
-			Workers:            *workers,
-			Provenance:         rec.Enabled(),
-		})
-	case "perf-pwr":
-		decider = strategy.NewPerfPwr(eval)
-	case "perf-cost":
-		decider, err = strategy.NewPerfCost(eval, lab.Util)
-	case "pwr-cost":
-		decider = strategy.NewPwrCost(eval)
-	default:
-		return fmt.Errorf("unknown strategy %q", *strategyName)
-	}
-	if err != nil {
-		return err
-	}
-
-	// Self-monitoring: an explicit engine when -slo asked for the report
-	// (scenario.Run otherwise builds its own whenever an observer is
-	// active), plus optional latency-triggered pprof capture.
-	var eng *slo.Engine
-	if *sloReport || *sloExit {
-		eng = slo.New(slo.Config{Interval: lab.Util.MonitoringInterval}, ob)
-	}
 	var prof *obs.Profiler
 	if *profileDir != "" {
 		prof, err = obs.NewProfiler(*profileDir, *profileBud, *profileMax)
@@ -195,27 +137,28 @@ func run() (err error) {
 		}
 		defer prof.Close()
 	}
+	env, err := experiments.Build(r, core.SearchOptions{}, experiments.Attach{
+		Obs:            ob,
+		Provenance:     rec,
+		StepProvenance: *stepProv,
+		Profile:        prof,
+		Duration:       *duration,
+	})
+	if err != nil {
+		return err
+	}
+	r, lab, engine := env.Recipe, env.Lab, env.Engine
+	// With an observer active the engine runs the SLO engine that -slo
+	// reports on.
+	var eng *slo.Engine
+	if *sloReport || *sloExit {
+		eng = engine.SLO()
+	}
 
 	var mem0 runtime.MemStats
 	if *benchJSON != "" {
 		runtime.GC()
 		runtime.ReadMemStats(&mem0)
-	}
-	engine, err := scenario.NewEngine(tb, decider, scenario.RunConfig{
-		Traces:         lab.Traces,
-		Duration:       *duration,
-		Interval:       lab.Util.MonitoringInterval,
-		Utility:        lab.Util,
-		Workers:        *workers,
-		Fault:          inj,
-		Guard:          grd,
-		Provenance:     rec,
-		StepProvenance: *stepProv,
-		SLO:            eng,
-		Profile:        prof,
-	})
-	if err != nil {
-		return err
 	}
 	if ckFile != nil {
 		if err := engine.Restore(ckFile.Scenario); err != nil {
@@ -236,17 +179,7 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		if err := checkpoint.Write(*ckptPath, &checkpoint.File{
-			Schema:     checkpoint.Schema,
-			Strategy:   strings.ToLower(*strategyName),
-			Workers:    *workers,
-			Lab:        labOpts,
-			FaultRate:  *faultRate,
-			FaultSeed:  *faultSeed,
-			ExecPolicy: exec.String(),
-			Guard:      *guardOn,
-			Scenario:   snap,
-		}); err != nil {
+		if err := checkpoint.Write(*ckptPath, checkpoint.New(r, snap)); err != nil {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "checkpoint: wrote %s (window %d, t=%s)\n", *ckptPath, engine.WindowIndex(), engine.Now())
@@ -289,20 +222,20 @@ func run() (err error) {
 	if rec.Enabled() {
 		fmt.Fprintf(os.Stderr, "provenance: %d records written to %s (inspect with mistral-explain %[2]s)\n", rec.Count(), *provPath)
 	}
-	if inj.Enabled() {
-		counts := inj.Counts()
+	if env.Fault.Enabled() {
+		counts := env.Fault.Counts()
 		fmt.Fprintf(os.Stderr, "faults (rate %.0f%%, seed %d): %d injected — %d degraded windows, %d failed actions (%d retries, %d skipped), %d host crashes, %d sensor drops\n",
-			*faultRate*100, *faultSeed, counts.Injected,
+			r.FaultRate*100, r.FaultSeed, counts.Injected,
 			res.DegradedWindows, res.FailedActions, res.Retries, res.SkippedActions,
 			res.HostCrashes, res.SensorDrops)
 	}
 	// These lines only appear when their (default-off) planes are on, so a
 	// default invocation's stderr stays byte-identical across versions.
-	if exec == testbed.RollbackOnFailure {
+	if r.ExecPolicy == testbed.RollbackOnFailure.String() {
 		fmt.Fprintf(os.Stderr, "rollback: %d plan(s) compensated, %d rollback action(s) executed\n",
 			res.CompensatedPlans, res.RolledBackActions)
 	}
-	if grd != nil {
+	if grd := env.Guard; grd != nil {
 		adm, rej, opens := grd.Stats()
 		fmt.Fprintf(os.Stderr, "guard: %d plan(s) admitted, %d rejected, breaker opened %d time(s) (final state %s)\n",
 			adm, rej, opens, grd.Breaker())
@@ -331,7 +264,7 @@ func run() (err error) {
 	if *benchJSON != "" {
 		var mem1 runtime.MemStats
 		runtime.ReadMemStats(&mem1)
-		st := eval.CacheStats() // the last window's counters, not yet flushed
+		st := env.Eval.CacheStats() // the last window's counters, not yet flushed
 		hits := int(ob.Metrics.CounterValue("eval_cache_hits_total")) + st.Hits
 		misses := int(ob.Metrics.CounterValue("eval_cache_misses_total")) + st.Misses
 		var decideWall time.Duration
@@ -339,11 +272,11 @@ func run() (err error) {
 			decideWall += d
 		}
 		br := &experiments.BenchResult{
-			Seed:       *seed,
-			Apps:       *numApps,
+			Seed:       r.Lab.Seed,
+			Apps:       lab.Opts.NumApps,
 			Hosts:      lab.Opts.NumHosts,
 			Windows:    len(res.Windows),
-			Workers:    *workers,
+			Workers:    r.Workers,
 			GoVersion:  runtime.Version(),
 			GOOS:       runtime.GOOS,
 			GOARCH:     runtime.GOARCH,

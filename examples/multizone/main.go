@@ -13,9 +13,8 @@ import (
 	"time"
 
 	"github.com/mistralcloud/mistral"
+	"github.com/mistralcloud/mistral/internal/core"
 	"github.com/mistralcloud/mistral/internal/experiments"
-	"github.com/mistralcloud/mistral/internal/scenario"
-	"github.com/mistralcloud/mistral/internal/strategy"
 )
 
 func main() {
@@ -26,42 +25,21 @@ func main() {
 }
 
 func run() error {
-	lab, err := experiments.NewLab(experiments.LabOptions{
-		NumApps: 2,
-		Zones:   2,
-		Seed:    42,
-	})
+	env, err := experiments.Build(experiments.Recipe{
+		Strategy: "mistral",
+		Lab:      experiments.LabOptions{NumApps: 2, Zones: 2, Seed: 42},
+	}, core.SearchOptions{}, experiments.Attach{Duration: 3 * time.Hour})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("zones: %v\n", lab.Cat.Zones())
-	for _, z := range lab.Cat.Zones() {
-		fmt.Printf("  %s: %v\n", z, lab.Cat.HostsInZone(z))
-	}
-
-	tb, err := lab.NewTestbed()
-	if err != nil {
-		return err
-	}
-	eval, err := lab.NewEvaluator()
-	if err != nil {
-		return err
-	}
-	ctrl, err := strategy.NewMistral(eval, strategy.MistralConfig{
-		HostGroups:         lab.HostGroups(),
-		MonitoringInterval: lab.Util.MonitoringInterval,
-	})
-	if err != nil {
-		return err
+	cat, ctrl := env.Lab.Cat, env.Mistral
+	fmt.Printf("zones: %v\n", cat.Zones())
+	for _, z := range cat.Zones() {
+		fmt.Printf("  %s: %v\n", z, cat.HostsInZone(z))
 	}
 
 	fmt.Println("\nReplaying 3 hours across two data centers...")
-	res, err := scenario.Run(tb, ctrl, scenario.RunConfig{
-		Traces:   lab.Traces,
-		Duration: 3 * time.Hour,
-		Interval: lab.Util.MonitoringInterval,
-		Utility:  lab.Util,
-	})
+	res, err := env.Run()
 	if err != nil {
 		return err
 	}

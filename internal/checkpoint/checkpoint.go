@@ -42,6 +42,36 @@ type File struct {
 	Scenario *scenario.Snapshot `json:"scenario"`
 }
 
+// New wraps an engine snapshot in the envelope of the recipe it was built
+// from (experiments.Env.Recipe).
+func New(r experiments.Recipe, snap *scenario.Snapshot) *File {
+	return &File{
+		Schema:     Schema,
+		Strategy:   r.Strategy,
+		Workers:    r.Workers,
+		Lab:        r.Lab,
+		FaultRate:  r.FaultRate,
+		FaultSeed:  r.FaultSeed,
+		ExecPolicy: r.ExecPolicy,
+		Guard:      r.Guard,
+		Scenario:   snap,
+	}
+}
+
+// Recipe returns the recipe the checkpoint records; rebuild it with
+// experiments.Build, which validates it first.
+func (f *File) Recipe() experiments.Recipe {
+	return experiments.Recipe{
+		Strategy:   f.Strategy,
+		Workers:    f.Workers,
+		Lab:        f.Lab,
+		FaultRate:  f.FaultRate,
+		FaultSeed:  f.FaultSeed,
+		ExecPolicy: f.ExecPolicy,
+		Guard:      f.Guard,
+	}
+}
+
 // Write atomically persists the checkpoint: the JSON lands in a temp file
 // in the target directory and renames over path, so a crash mid-write
 // never leaves a truncated checkpoint where a good one stood.

@@ -41,7 +41,10 @@ type SearchOptions struct {
 	SearchWatts float64
 	// MaxExpansions bounds the number of vertex expansions as a safety
 	// valve (default 2500). When hit, the best candidate found so far is
-	// returned.
+	// returned. Without the Self-Aware beam and deadline the naive search
+	// grinds hard instances to the ε-margin or this cap; the cap keeps
+	// full-scenario naive replays tractable while leaving the paper's
+	// duration contrast (≈4×, Fig. 10b) visible.
 	MaxExpansions int
 	// MaxSearchTime is a hard deadline on the search's simulated elapsed
 	// time (Expanded·TimePerChild bookkeeping, so it stays deterministic

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"github.com/mistralcloud/mistral/internal/core"
 	"github.com/mistralcloud/mistral/internal/scenario"
 	"github.com/mistralcloud/mistral/internal/stats"
 	"github.com/mistralcloud/mistral/internal/strategy"
@@ -42,7 +41,7 @@ func runMistralVariant(seed uint64, mutate func(*strategy.MistralConfig)) (*scen
 	cfg := strategy.MistralConfig{
 		HostGroups:         lab.HostGroups(),
 		MonitoringInterval: lab.Util.MonitoringInterval,
-		Search:             core.SearchOptions{TimePerChild: 300 * time.Microsecond},
+		Search:             paperSearch,
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -168,32 +167,7 @@ func AblationDVFS(seed uint64) ([]AblationRow, error) {
 		if levels != nil {
 			label = "dvfs-60/80"
 		}
-		lab, err := NewLab(LabOptions{NumApps: 2, Seed: seed, DVFSLevels: levels})
-		if err != nil {
-			return nil, err
-		}
-		tb, err := lab.NewTestbed()
-		if err != nil {
-			return nil, err
-		}
-		eval, err := lab.NewEvaluator()
-		if err != nil {
-			return nil, err
-		}
-		m, err := strategy.NewMistral(eval, strategy.MistralConfig{
-			HostGroups:         lab.HostGroups(),
-			MonitoringInterval: lab.Util.MonitoringInterval,
-			Search:             core.SearchOptions{TimePerChild: 300 * time.Microsecond},
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := scenario.Run(tb, m, scenario.RunConfig{
-			Traces:   lab.Traces,
-			Duration: ablationDuration,
-			Interval: lab.Util.MonitoringInterval,
-			Utility:  lab.Util,
-		})
+		_, res, err := runRecipe(Recipe{Strategy: "mistral", Lab: LabOptions{NumApps: 2, Seed: seed, DVFSLevels: levels}}, ablationDuration)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: DVFS ablation %s: %w", label, err)
 		}
@@ -219,32 +193,7 @@ func AblationMultiZone(seed uint64) ([]AblationRow, error) {
 		if zones > 1 {
 			label = fmt.Sprintf("%d-zones", zones)
 		}
-		lab, err := NewLab(LabOptions{NumApps: 2, Seed: seed, Zones: zones})
-		if err != nil {
-			return nil, err
-		}
-		tb, err := lab.NewTestbed()
-		if err != nil {
-			return nil, err
-		}
-		eval, err := lab.NewEvaluator()
-		if err != nil {
-			return nil, err
-		}
-		m, err := strategy.NewMistral(eval, strategy.MistralConfig{
-			HostGroups:         lab.HostGroups(),
-			MonitoringInterval: lab.Util.MonitoringInterval,
-			Search:             core.SearchOptions{TimePerChild: 300 * time.Microsecond},
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := scenario.Run(tb, m, scenario.RunConfig{
-			Traces:   lab.Traces,
-			Duration: ablationDuration,
-			Interval: lab.Util.MonitoringInterval,
-			Utility:  lab.Util,
-		})
+		_, res, err := runRecipe(Recipe{Strategy: "mistral", Lab: LabOptions{NumApps: 2, Seed: seed, Zones: zones}}, ablationDuration)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: multizone ablation %s: %w", label, err)
 		}

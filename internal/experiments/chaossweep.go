@@ -9,6 +9,7 @@ import (
 	"github.com/mistralcloud/mistral/internal/fault"
 	"github.com/mistralcloud/mistral/internal/guard"
 	"github.com/mistralcloud/mistral/internal/scenario"
+	"github.com/mistralcloud/mistral/internal/strategy"
 	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
@@ -132,7 +133,7 @@ func runChaosCell(opts ChaosSweepOptions, rate float64, exec testbed.ExecPolicy)
 	if err != nil {
 		return cell, err
 	}
-	d, _, err := buildDecider(lab, StrategyMistral, false)
+	d, _, err := lab.NewDecider("mistral", strategy.MistralConfig{Search: paperSearch})
 	if err != nil {
 		return cell, err
 	}

@@ -230,24 +230,20 @@ func TestRunStrategyShortScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario replay")
 	}
-	lab, err := NewLab(LabOptions{NumApps: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Trim the traces to one hour.
-	for name := range lab.Traces {
-		lab.Traces[name].Rates = lab.Traces[name].Rates[:61]
-	}
-	for _, s := range AllStrategies() {
-		res, _, err := RunStrategy(lab, s, false)
+	lab := LabOptions{NumApps: 2, Seed: 7}
+	for _, s := range compared() {
+		_, res, err := runRecipe(Recipe{Strategy: s.name, Lab: lab}, time.Hour)
 		if err != nil {
-			t.Fatalf("%s: %v", s, err)
+			t.Fatalf("%s: %v", s.name, err)
 		}
 		if len(res.Windows) != 30 {
-			t.Errorf("%s: %d windows", s, len(res.Windows))
+			t.Errorf("%s: %d windows", s.name, len(res.Windows))
+		}
+		if res.Strategy != string(s.label) {
+			t.Errorf("%s: decider reports %q, table labels it %q", s.name, res.Strategy, s.label)
 		}
 	}
-	if _, _, err := RunStrategy(lab, StrategyName("bogus"), false); err == nil {
+	if _, _, err := runRecipe(Recipe{Strategy: "bogus", Lab: lab}, time.Hour); err == nil {
 		t.Error("unknown strategy accepted")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"github.com/mistralcloud/mistral/internal/fault"
 	"github.com/mistralcloud/mistral/internal/scenario"
 	"github.com/mistralcloud/mistral/internal/strategy"
+	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
 // shortLab builds a 2-app lab with its traces trimmed to one hour.
@@ -24,24 +25,36 @@ func shortLab(t *testing.T, seed uint64) *Lab {
 	return lab
 }
 
-// TestFaultDisabledIsByteIdentical pins the opt-in contract: running the
-// fault-aware path with an all-zero fault profile must reproduce the
-// pre-existing fault-free path byte for byte.
+// TestFaultDisabledIsByteIdentical pins the opt-in contract: a recipe with
+// a zero fault rate must reproduce a hand-wired fault-free replay byte for
+// byte.
 func TestFaultDisabledIsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario replay")
 	}
 	lab := shortLab(t, 7)
-	base, _, err := RunStrategy(lab, StrategyMistral, false)
+	tb, err := lab.NewTestbed()
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaFault, counts, err := RunStrategyWithFaults(lab, StrategyMistral, fault.Profile(0, 7), 0, 0)
+	d, _, err := lab.NewDecider("mistral", strategy.MistralConfig{Search: paperSearch})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counts != (fault.Counts{}) {
-		t.Errorf("disabled injector drew faults: %+v", counts)
+	base, err := scenario.Run(tb, d, scenario.RunConfig{
+		Traces:   lab.Traces,
+		Interval: lab.Util.MonitoringInterval,
+		Utility:  lab.Util,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env, viaFault, err := runRecipe(Recipe{Strategy: "mistral", Lab: lab.Opts, FaultRate: 0}, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if env.Fault.Enabled() {
+		t.Error("zero fault rate built an injector")
 	}
 	// DecideWall carries wall-clock (not virtual) decide durations for
 	// -bench-json; it is observational and never identical across runs.
@@ -58,11 +71,11 @@ func TestFaultReplayDegradesGracefully(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario replay")
 	}
-	lab := shortLab(t, 7)
-	res, counts, err := RunStrategyWithFaults(lab, StrategyMistral, fault.Profile(0.15, 7), 0, 0)
+	env, res, err := runRecipe(Recipe{Strategy: "mistral", Lab: LabOptions{NumApps: 2, Seed: 7}, FaultRate: 0.15}, time.Hour)
 	if err != nil {
 		t.Fatalf("15%% fault replay aborted: %v", err)
 	}
+	counts := env.Fault.Counts()
 	if len(res.Windows) != 30 {
 		t.Errorf("windows = %d, want 30 (the replay must run to completion)", len(res.Windows))
 	}
@@ -96,7 +109,7 @@ func runFaultyMistral(t *testing.T, workers int) *scenario.Result {
 		t.Fatal(err)
 	}
 	inj := fault.New(fault.Profile(0.15, 99))
-	tb, err := lab.NewTestbedWithFaults(inj)
+	tb, err := lab.NewTestbedExec(inj, testbed.FailForward)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,13 +16,13 @@ type FaultSweepOptions struct {
 	Seed uint64
 	// Rates are the action-failure probabilities to sweep (default
 	// 0, 5, 15, and 30%); fault.Profile derives delay, sensor, and crash
-	// rates from each.
+	// rates from each. Each must lie in [0,1].
 	Rates []float64
 	// Duration bounds each replay (default 2 hours — long enough for
 	// retries, crashes, and degraded windows to show, short enough to keep
 	// the 4×4 sweep tractable).
 	Duration time.Duration
-	// Workers is passed through to scenario.RunConfig for observability.
+	// Workers bounds each replay's evaluation concurrency.
 	Workers int
 }
 
@@ -52,38 +52,6 @@ type FaultSweepResult struct {
 	Cells map[StrategyName][]FaultSweepCell
 }
 
-// RunStrategyWithFaults replays the lab's scenario under one strategy with
-// a fault injector wired into both the testbed and the replay loop. A
-// disabled injector (nil, or all-zero rates) reproduces RunStrategy
-// exactly.
-func RunStrategyWithFaults(lab *Lab, name StrategyName, fo fault.Options, duration time.Duration, workers int) (*scenario.Result, fault.Counts, error) {
-	inj := fault.New(fo)
-	tb, err := lab.NewTestbedWithFaults(inj)
-	if err != nil {
-		return nil, fault.Counts{}, err
-	}
-	d, _, err := buildDecider(lab, name, false)
-	if err != nil {
-		return nil, fault.Counts{}, err
-	}
-	sc := lab.ScenarioConfig()
-	if duration <= 0 || duration > sc.Duration {
-		duration = sc.Duration
-	}
-	res, err := scenario.Run(tb, d, scenario.RunConfig{
-		Traces:   lab.Traces,
-		Duration: duration,
-		Interval: sc.Interval,
-		Utility:  lab.Util,
-		Workers:  workers,
-		Fault:    inj,
-	})
-	if err != nil {
-		return nil, inj.Counts(), err
-	}
-	return res, inj.Counts(), nil
-}
-
 // FaultSweep reproduces the robustness study: Mistral and the three
 // baselines replayed at every fault rate. At rate 0 the injector is absent
 // and each replay is byte-identical to the fault-free Fig. 8/9 path; at
@@ -96,19 +64,20 @@ func FaultSweep(opts FaultSweepOptions) (*FaultSweepResult, error) {
 		Cells: make(map[StrategyName][]FaultSweepCell, 4),
 	}
 	for _, rate := range opts.Rates {
-		for _, name := range AllStrategies() {
-			// A fresh lab per cell: replays must not share testbed or
-			// estimator state.
-			lab, err := NewLab(LabOptions{NumApps: 2, Seed: opts.Seed})
+		for _, st := range compared() {
+			// A fresh environment per cell: replays must not share testbed
+			// or estimator state.
+			env, res, err := runRecipe(Recipe{
+				Strategy:  st.name,
+				Workers:   opts.Workers,
+				Lab:       LabOptions{NumApps: 2, Seed: opts.Seed},
+				FaultRate: rate,
+			}, opts.Duration)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("experiments: fault sweep %s @ %.0f%%: %w", st.label, rate*100, err)
 			}
-			res, counts, err := RunStrategyWithFaults(lab, name, fault.Profile(rate, opts.Seed), opts.Duration, opts.Workers)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fault sweep %s @ %.0f%%: %w", name, rate*100, err)
-			}
-			out.Cells[name] = append(out.Cells[name], FaultSweepCell{
-				Rate: rate, Result: res, Faults: counts,
+			out.Cells[st.label] = append(out.Cells[st.label], FaultSweepCell{
+				Rate: rate, Result: res, Faults: env.Fault.Counts(),
 			})
 		}
 	}

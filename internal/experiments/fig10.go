@@ -28,26 +28,19 @@ type Fig10Result struct {
 func Fig10SearchCost(seed uint64) (*Fig10Result, error) {
 	res := &Fig10Result{}
 
-	lab, err := NewLab(LabOptions{NumApps: 2, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
 	// Controller host: a default host running the optimizer flat out vs
 	// idle.
 	spec := cluster.DefaultHostSpec("controller")
 	res.SearchPowerPct = (67 - spec.IdleWatts) / spec.IdleWatts * 100
 
-	aware, _, err := RunStrategy(lab, StrategyMistral, false)
+	lab := LabOptions{NumApps: 2, Seed: seed}
+	_, aware, err := runRecipe(Recipe{Strategy: "mistral", Lab: lab}, 0)
 	if err != nil {
 		return nil, err
 	}
 	res.SelfAware = aware
 
-	labN, err := NewLab(LabOptions{NumApps: 2, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	naive, _, err := RunStrategy(labN, StrategyMistral, true)
+	_, naive, err := runRecipe(Recipe{Strategy: "naive", Lab: lab}, 0)
 	if err != nil {
 		return nil, err
 	}

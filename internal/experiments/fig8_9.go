@@ -4,85 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/mistralcloud/mistral/internal/core"
 	"github.com/mistralcloud/mistral/internal/scenario"
-	"github.com/mistralcloud/mistral/internal/strategy"
 	"github.com/mistralcloud/mistral/internal/workload"
 )
-
-// StrategyName identifies one of the four compared control strategies.
-type StrategyName string
-
-// The four strategies of §V-C.
-const (
-	StrategyPerfPwr  StrategyName = "Perf-Pwr"
-	StrategyPerfCost StrategyName = "Perf-Cost"
-	StrategyPwrCost  StrategyName = "Pwr-Cost"
-	StrategyMistral  StrategyName = "Mistral"
-)
-
-// AllStrategies lists the comparison order used in the paper's figures.
-func AllStrategies() []StrategyName {
-	return []StrategyName{StrategyPerfPwr, StrategyPerfCost, StrategyPwrCost, StrategyMistral}
-}
-
-// buildDecider instantiates a strategy over a fresh evaluator.
-func buildDecider(lab *Lab, name StrategyName, naive bool) (scenario.Decider, *strategy.Mistral, error) {
-	eval, err := lab.NewEvaluator()
-	if err != nil {
-		return nil, nil, err
-	}
-	switch name {
-	case StrategyPerfPwr:
-		return strategy.NewPerfPwr(eval), nil, nil
-	case StrategyPerfCost:
-		d, err := strategy.NewPerfCost(eval, lab.Util)
-		return d, nil, err
-	case StrategyPwrCost:
-		return strategy.NewPwrCost(eval), nil, nil
-	case StrategyMistral:
-		search := core.SearchOptions{TimePerChild: 300 * time.Microsecond}
-		if naive {
-			// Without the Self-Aware beam and deadline the naive search
-			// grinds hard instances to the ε-margin or this cap; the cap
-			// keeps full-scenario replays tractable while leaving the
-			// paper's duration contrast (≈4×, Fig. 10b) visible.
-			search.MaxExpansions = 2500
-		}
-		m, err := strategy.NewMistral(eval, strategy.MistralConfig{
-			HostGroups:         lab.HostGroups(),
-			Naive:              naive,
-			MonitoringInterval: lab.Util.MonitoringInterval,
-			Search:             search,
-		})
-		return m, m, err
-	default:
-		return nil, nil, fmt.Errorf("experiments: unknown strategy %q", name)
-	}
-}
-
-// RunStrategy replays the lab's full scenario under one strategy.
-func RunStrategy(lab *Lab, name StrategyName, naive bool) (*scenario.Result, *strategy.Mistral, error) {
-	tb, err := lab.NewTestbed()
-	if err != nil {
-		return nil, nil, err
-	}
-	d, m, err := buildDecider(lab, name, naive)
-	if err != nil {
-		return nil, nil, err
-	}
-	sc := lab.ScenarioConfig()
-	res, err := scenario.Run(tb, d, scenario.RunConfig{
-		Traces:   lab.Traces,
-		Duration: sc.Duration,
-		Interval: sc.Interval,
-		Utility:  lab.Util,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, m, nil
-}
 
 // Fig89Result is the four-strategy comparison of Figures 8 and 9: response
 // times and power per strategy over the scenario, plus cumulative
@@ -98,16 +22,12 @@ type Fig89Result struct {
 // Perf-Cost (26.3) > Perf-Pwr (−47.1).
 func Fig89StrategyComparison(seed uint64) (*Fig89Result, error) {
 	res := &Fig89Result{Results: make(map[StrategyName]*scenario.Result, 4)}
-	for _, name := range AllStrategies() {
-		lab, err := NewLab(LabOptions{NumApps: 2, Seed: seed})
+	for _, st := range compared() {
+		_, r, err := runRecipe(Recipe{Strategy: st.name, Lab: LabOptions{NumApps: 2, Seed: seed}}, 0)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: %s: %w", st.label, err)
 		}
-		r, _, err := RunStrategy(lab, name, false)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", name, err)
-		}
-		res.Results[name] = r
+		res.Results[st.label] = r
 	}
 	return res, nil
 }

@@ -12,6 +12,7 @@ import (
 	"github.com/mistralcloud/mistral/internal/obs/tsdb"
 	"github.com/mistralcloud/mistral/internal/scenario"
 	"github.com/mistralcloud/mistral/internal/strategy"
+	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
 // runHistoryMistral replays the trimmed scenario with an explicit telemetry
@@ -33,7 +34,7 @@ func runHistoryMistral(t *testing.T, workers int, faultRate float64, hist *tsdb.
 		t.Fatal(err)
 	}
 	inj := fault.New(fault.Profile(faultRate, 99))
-	tb, err := lab.NewTestbedWithFaults(inj)
+	tb, err := lab.NewTestbedExec(inj, testbed.FailForward)
 	if err != nil {
 		t.Fatal(err)
 	}

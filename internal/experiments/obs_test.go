@@ -14,6 +14,7 @@ import (
 	"github.com/mistralcloud/mistral/internal/cluster"
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/scenario"
+	"github.com/mistralcloud/mistral/internal/strategy"
 )
 
 // planRecorder wraps a decider and fingerprints every decision it makes.
@@ -45,7 +46,7 @@ func runMistralRecorded(t *testing.T, o *obs.Observer) (*scenario.Result, []stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := buildDecider(lab, StrategyMistral, false)
+	d, _, err := lab.NewDecider("mistral", strategy.MistralConfig{Search: paperSearch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/provenance"
 	"github.com/mistralcloud/mistral/internal/scenario"
+	"github.com/mistralcloud/mistral/internal/strategy"
+	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
 // TestProvenanceUnderFaults validates the flight recorder on the
@@ -24,11 +26,11 @@ func TestProvenanceUnderFaults(t *testing.T) {
 	}
 	lab := shortLab(t, 13)
 	inj := fault.New(fault.Profile(0.30, 13))
-	tb, err := lab.NewTestbedWithFaults(inj)
+	tb, err := lab.NewTestbedExec(inj, testbed.FailForward)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, _, err := buildDecider(lab, StrategyMistral, false)
+	d, _, err := lab.NewDecider("mistral", strategy.MistralConfig{Search: paperSearch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,12 +206,12 @@ func zonedDefaultConfig(cat *cluster.Catalog, apps []*app.Spec, cpuPct float64) 
 				placed = true
 			}
 			if !placed {
-				return cluster.Config{}, fmt.Errorf("experiments: cannot place %s/%s in zone %s", a.Name, t.Name, zone)
+				return cluster.Config{}, fmt.Errorf("cannot place %s/%s in zone %s", a.Name, t.Name, zone)
 			}
 		}
 	}
 	if vs := cfg.Validate(cat); len(vs) > 0 {
-		return cluster.Config{}, fmt.Errorf("experiments: zoned default config invalid: %v", vs[0])
+		return cluster.Config{}, fmt.Errorf("zoned default config invalid: %v", vs[0])
 	}
 	return cfg, nil
 }
@@ -219,19 +219,13 @@ func zonedDefaultConfig(cat *cluster.Catalog, apps []*app.Spec, cpuPct float64) 
 // NewTestbed builds a fresh virtual testbed in the lab's initial
 // configuration with the traces' rates at time zero.
 func (l *Lab) NewTestbed() (*testbed.Testbed, error) {
-	return l.NewTestbedWithFaults(nil)
+	return l.NewTestbedExec(nil, testbed.FailForward)
 }
 
-// NewTestbedWithFaults is NewTestbed with a fault injector wired into the
-// testbed's execution and measurement paths; a nil (or disabled) injector
-// reproduces NewTestbed exactly.
-func (l *Lab) NewTestbedWithFaults(inj *fault.Injector) (*testbed.Testbed, error) {
-	return l.NewTestbedExec(inj, testbed.FailForward)
-}
-
-// NewTestbedExec is NewTestbedWithFaults with an explicit execution
-// policy; RollbackOnFailure makes plans transactional (compensating
-// inverse actions on non-retryable failure).
+// NewTestbedExec is NewTestbed with a fault injector wired into the
+// testbed's execution and measurement paths (nil injects nothing) and an
+// explicit execution policy; RollbackOnFailure makes plans transactional
+// (compensating inverse actions on non-retryable failure).
 func (l *Lab) NewTestbedExec(inj *fault.Injector, exec testbed.ExecPolicy) (*testbed.Testbed, error) {
 	tb, err := testbed.New(l.Cat, l.Apps, l.Initial, l.Traces.At(0), l.Costs, testbed.Options{
 		Mode:  l.Opts.Mode,

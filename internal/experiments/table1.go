@@ -61,19 +61,10 @@ func Table1Scalability(seed uint64, opts Table1Options) (*Table1Result, error) {
 	}
 	res := &Table1Result{}
 	for _, napps := range []int{2, 3, 4} {
-		lab, err := NewLab(LabOptions{NumApps: napps, Seed: seed})
+		labOpts := LabOptions{NumApps: napps, Seed: seed}
+		lab, err := NewLab(labOpts)
 		if err != nil {
 			return nil, err
-		}
-		if opts.Duration > 0 {
-			// Shorten the replay window uniformly.
-			for name := range lab.Traces {
-				tr := lab.Traces[name]
-				n := int(opts.Duration/tr.Step) + 1
-				if n < len(tr.Rates) {
-					tr.Rates = tr.Rates[:n]
-				}
-			}
 		}
 		sc := Table1Scenario{
 			Apps:  napps,
@@ -81,41 +72,21 @@ func Table1Scalability(seed uint64, opts Table1Options) (*Table1Result, error) {
 			Hosts: len(lab.Cat.HostNames()),
 		}
 
-		runMistral := func(naive bool, maxExp int) (*scenario.Result, *strategy.Mistral, error) {
-			tb, err := lab.NewTestbed()
-			if err != nil {
-				return nil, nil, err
-			}
-			eval, err := lab.NewEvaluator()
-			if err != nil {
-				return nil, nil, err
-			}
-			m, err := strategy.NewMistral(eval, strategy.MistralConfig{
-				HostGroups:         lab.HostGroups(),
-				Naive:              naive,
-				MonitoringInterval: lab.Util.MonitoringInterval,
-				Workers:            opts.Workers,
-				Provenance:         opts.Provenance.Enabled(),
-				Search: core.SearchOptions{
-					TimePerChild:  300 * time.Microsecond,
-					MaxExpansions: maxExp,
-				},
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			r, err := scenario.Run(tb, m, scenario.RunConfig{
-				Traces:     lab.Traces,
-				Duration:   opts.Duration,
-				Interval:   lab.Util.MonitoringInterval,
-				Utility:    lab.Util,
-				Workers:    opts.Workers,
+		runMistral := func(name string, maxExp int) (*scenario.Result, *strategy.Mistral, error) {
+			search := paperSearch
+			search.MaxExpansions = maxExp
+			env, err := Build(Recipe{Strategy: name, Workers: opts.Workers, Lab: labOpts}, search, Attach{
 				Provenance: opts.Provenance,
+				Duration:   opts.Duration,
 			})
-			return r, m, err
+			if err != nil {
+				return nil, nil, err
+			}
+			r, err := env.Run()
+			return r, env.Mistral, err
 		}
 
-		aware, awareM, err := runMistral(false, 0)
+		aware, awareM, err := runMistral("mistral", 0)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table1 %d-app self-aware: %w", napps, err)
 		}
@@ -125,7 +96,7 @@ func Table1Scalability(seed uint64, opts Table1Options) (*Table1Result, error) {
 		sc.MistralUtility = aware.CumUtility
 
 		if !opts.SkipNaive {
-			naive, naiveM, err := runMistral(true, opts.NaiveMaxExpansions)
+			naive, naiveM, err := runMistral("naive", opts.NaiveMaxExpansions)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: table1 %d-app naive: %w", napps, err)
 			}

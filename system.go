@@ -179,30 +179,19 @@ func (s *System) NewMistral(opts ControllerOptions) (*MistralController, error) 
 }
 
 // NewPerfPwrBaseline builds the cost-blind Perf-Pwr baseline (§V-C).
-func (s *System) NewPerfPwrBaseline() (Decider, error) {
-	eval, err := s.lab.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	return strategy.NewPerfPwr(eval), nil
-}
+func (s *System) NewPerfPwrBaseline() (Decider, error) { return s.newBaseline("perf-pwr") }
 
 // NewPerfCostBaseline builds the power-blind Perf-Cost baseline (§V-C).
-func (s *System) NewPerfCostBaseline() (Decider, error) {
-	eval, err := s.lab.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	return strategy.NewPerfCost(eval, s.lab.Util)
-}
+func (s *System) NewPerfCostBaseline() (Decider, error) { return s.newBaseline("perf-cost") }
 
 // NewPwrCostBaseline builds the pMapper-style Pwr-Cost baseline (§V-C).
-func (s *System) NewPwrCostBaseline() (Decider, error) {
-	eval, err := s.lab.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	return strategy.NewPwrCost(eval), nil
+func (s *System) NewPwrCostBaseline() (Decider, error) { return s.newBaseline("pwr-cost") }
+
+// newBaseline builds the named baseline from the experiments strategy
+// table over a fresh evaluator.
+func (s *System) newBaseline(name string) (Decider, error) {
+	d, _, err := s.lab.NewDecider(name, strategy.MistralConfig{})
+	return d, err
 }
 
 // IdealConfiguration runs the Perf-Pwr optimizer for the given request
