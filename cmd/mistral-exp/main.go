@@ -72,7 +72,7 @@ func run() (err error) {
 		tracePath   = flag.String("trace", "", "write span trace to FILE (.json = Chrome trace_event for Perfetto, else JSONL)")
 		metricsPath = flag.String("metrics", "", `write metrics registry dump to FILE at exit ("-" = stderr)`)
 		logLevel    = flag.String("log-level", "", "structured logging to stderr: debug, info, warn, error")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof and expvar (/debug/vars) on ADDR, e.g. localhost:6060")
+		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof, /metrics, /ops and /v1/query on ADDR, e.g. localhost:6060")
 		benchOut    = flag.String("bench-out", "", "bench: write the perf snapshot as JSON to FILE (BENCH_search.json schema)")
 		benchBase   = flag.String("bench-baseline", "", "bench: compare ns/expansion against this committed BENCH_search.json and fail on regression")
 		benchTol    = flag.Float64("bench-tolerance", 20, "bench: allowed ns/expansion regression vs -bench-baseline, in percent")

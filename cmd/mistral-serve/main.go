@@ -223,8 +223,20 @@ func (s *server) rebuild(r experiments.Recipe) error {
 }
 
 // restore builds the checkpoint's recipe and restores its snapshot into
-// the new environment, which goes live only if both succeed.
-func (s *server) restore(ck *checkpoint.File) error {
+// the new environment, which goes live only if both succeed. Building the
+// candidate engine re-begins the observer's shared history store and /ops
+// document, so a refused checkpoint puts the live daemon's back.
+func (s *server) restore(ck *checkpoint.File) (err error) {
+	hist, ops := s.ob.HistoryStore(), s.ob.OpsState()
+	histState, opsDoc := hist.State(), ops.Snapshot()
+	defer func() {
+		if err != nil {
+			ops.Set(opsDoc)
+			if herr := hist.Restore(histState); herr != nil {
+				err = errors.Join(err, herr)
+			}
+		}
+	}()
 	env, provBuf, err := s.build(ck.Recipe())
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)

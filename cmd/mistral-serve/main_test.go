@@ -12,19 +12,31 @@ import (
 	"testing"
 
 	"github.com/mistralcloud/mistral/internal/experiments"
+	"github.com/mistralcloud/mistral/internal/obs"
+	"github.com/mistralcloud/mistral/internal/obs/tsdb"
 )
 
 // newTestServer builds a 1-app daemon on the cheap perf-pwr strategy and
 // mounts the control API exactly as the obs plane would.
 func newTestServer(t *testing.T) (*server, *httptest.Server) {
+	return newObservedTestServer(t, nil)
+}
+
+// newObservedTestServer is newTestServer wired to ob, with the observer's
+// /ops and /v1/query mounted beside the control API when ob is non-nil.
+func newObservedTestServer(t *testing.T, ob *obs.Observer) (*server, *httptest.Server) {
 	t.Helper()
-	s := &server{}
+	s := &server{ob: ob}
 	if err := s.rebuild(experiments.Recipe{Strategy: "perf-pwr", Workers: 1, Lab: experiments.LabOptions{NumApps: 1, Seed: 7}}); err != nil {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
 	for path, h := range s.routes() {
 		mux.Handle(path, h)
+	}
+	if ob != nil {
+		mux.Handle("/ops", ob.Ops.Handler())
+		mux.Handle("/v1/query", ob.History.Handler())
 	}
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
@@ -259,9 +271,11 @@ func TestServeNotReady(t *testing.T) {
 // TestServeFailedRestoreLeavesDaemonUnchanged pins that /v1/restore is
 // all-or-nothing: a checkpoint whose envelope names a different strategy
 // than its snapshot is refused, and the daemon keeps its window, its
-// state and the recipe its next checkpoint records.
+// state, the recipe its next checkpoint records, its trend history and
+// its /ops document.
 func TestServeFailedRestoreLeavesDaemonUnchanged(t *testing.T) {
-	_, ts := newTestServer(t)
+	ob := &obs.Observer{Metrics: obs.NewRegistry(), Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
+	_, ts := newObservedTestServer(t, ob)
 	if status, msg, _ := do(t, post(t, ts.URL+"/v1/window", "application/json", `{"windows":3}`)); status != http.StatusOK {
 		t.Fatalf("windows: %d (%s)", status, msg)
 	}
@@ -282,14 +296,26 @@ func TestServeFailedRestoreLeavesDaemonUnchanged(t *testing.T) {
 		}
 		return env
 	}
-	state := func() []byte {
+	// surfaces reads every endpoint a refused restore must leave alone,
+	// keyed by path; /ops is taken without its wall-clock publish stamp.
+	paths := []string{"/v1/state", "/v1/query?series=utility", "/ops"}
+	surfaces := func() map[string]string {
 		t.Helper()
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/state", nil)
-		status, msg, body := do(t, req)
-		if status != http.StatusOK {
-			t.Fatalf("state: %d (%s)", status, msg)
+		out := make(map[string]string)
+		for _, path := range paths {
+			req, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+			status, _, body := do(t, req)
+			if path == "/ops" {
+				var doc obs.OpsSnapshot
+				if err := json.Unmarshal(body, &doc); err != nil {
+					t.Fatal(err)
+				}
+				doc.UpdatedUnixMS = 0
+				body, _ = json.Marshal(doc)
+			}
+			out[path] = fmt.Sprintf("%d %s", status, body)
 		}
-		return body
+		return out
 	}
 
 	ck := checkpointTo(filepath.Join(dir, "ck.json"))
@@ -302,13 +328,16 @@ func TestServeFailedRestoreLeavesDaemonUnchanged(t *testing.T) {
 	if err := os.WriteFile(bad, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	before := state()
+	before := surfaces()
 	status, msg, _ := do(t, post(t, ts.URL+"/v1/restore", "application/json", fmt.Sprintf(`{"path":%q}`, bad)))
 	if status != http.StatusBadRequest || !strings.Contains(msg, "strategy") {
 		t.Fatalf("mismatched restore = %d (%s), want 400 naming the strategy", status, msg)
 	}
-	if after := state(); string(after) != string(before) {
-		t.Errorf("failed restore moved the daemon:\nbefore %s\nafter  %s", before, after)
+	after := surfaces()
+	for _, path := range paths {
+		if after[path] != before[path] {
+			t.Errorf("failed restore moved %s:\nbefore %s\nafter  %s", path, before[path], after[path])
+		}
 	}
 	if got := checkpointTo(filepath.Join(dir, "after.json"))["strategy"]; got != "perf-pwr" {
 		t.Errorf("next checkpoint records strategy %v, want perf-pwr", got)

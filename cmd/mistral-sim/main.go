@@ -28,6 +28,7 @@ import (
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/obs/slo"
 	"github.com/mistralcloud/mistral/internal/provenance"
+	"github.com/mistralcloud/mistral/internal/stats"
 	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
@@ -54,7 +55,7 @@ func run() (err error) {
 		tracePath    = flag.String("trace", "", "write span trace to FILE (.json = Chrome trace_event for Perfetto, else JSONL)")
 		metricsPath  = flag.String("metrics", "", `write metrics registry dump to FILE at exit ("-" = stderr)`)
 		logLevel     = flag.String("log-level", "", "structured logging to stderr: debug, info, warn, error")
-		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof and expvar (/debug/vars) on ADDR, e.g. localhost:6060")
+		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof, /metrics, /ops and /v1/query on ADDR, e.g. localhost:6060")
 		benchJSON    = flag.String("bench-json", "", "write the run's perf counters as JSON to FILE (BENCH_search.json schema: expansions, ns/expansion, allocs/expansion, cache hit %, decide latency percentiles)")
 		sloReport    = flag.Bool("slo", false, "run the SLO self-monitoring engine and print the objective/error-budget report to stderr at exit")
 		profileDir   = flag.String("profile-dir", "", "capture pprof CPU/heap artifacts into DIR when a decide blows its wall-clock latency budget")
@@ -268,8 +269,10 @@ func run() (err error) {
 		hits := int(ob.Metrics.CounterValue("eval_cache_hits_total")) + st.Hits
 		misses := int(ob.Metrics.CounterValue("eval_cache_misses_total")) + st.Misses
 		var decideWall time.Duration
-		for _, d := range res.DecideWall {
+		wallMs := make([]float64, len(res.DecideWall))
+		for i, d := range res.DecideWall {
 			decideWall += d
+			wallMs[i] = float64(d.Nanoseconds()) / 1e6
 		}
 		br := &experiments.BenchResult{
 			Seed:       r.Lab.Seed,
@@ -295,8 +298,8 @@ func run() (err error) {
 		if hits+misses > 0 {
 			br.CacheHitPct = 100 * float64(hits) / float64(hits+misses)
 		}
-		br.DecideP50Ms = experiments.QuantileMs(res.DecideWall, 0.50)
-		br.DecideP99Ms = experiments.QuantileMs(res.DecideWall, 0.99)
+		br.DecideP50Ms = stats.Quantile(wallMs, 0.50)
+		br.DecideP99Ms = stats.Quantile(wallMs, 0.99)
 		if err := br.WriteJSON(*benchJSON); err != nil {
 			return err
 		}

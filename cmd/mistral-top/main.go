@@ -1,27 +1,18 @@
 // Command mistral-top is the live ops view for a Mistral run: a
 // refreshing terminal rendering of controller health, SLO error-budget
-// state, recent alerts, and the slowest decision windows.
+// state, recent alerts, and per-series trend sparklines, polled from the
+// /ops JSON endpoint that mistral-sim, mistral-exp and mistral-serve
+// serve next to /metrics. The slowest decides are in the history store:
+// /v1/query?series=decide_wall_ms lists every window's decide wall time.
+// Recorded provenance files are read by mistral-explain.
 //
-// Two sources, one view:
-//
-//   - Live: -addr HOST:PORT polls the /ops JSON endpoint that
-//     mistral-sim/mistral-exp serve next to /metrics when -pprof is set.
-//   - Recorded: a positional provenance JSONL file (mistral-sim
-//     -provenance) is replayed through a fresh SLO engine each refresh,
-//     so a still-growing file behaves like a live tail. Wall-clock
-//     fields are unavailable in this mode (provenance records only
-//     virtual time); the slowest-window board ranks by virtual search
-//     time instead, the cache objective shows as unmeasured, and
-//     retries replay as zero (the record does not carry them).
-//
-// -check validates the source against the published schemas
+// -check validates the document against the published schemas
 // (mistral.ops/v1, mistral.slo/v1) and exits non-zero on mismatch —
 // the CI contract for the observability endpoints.
 //
 // Usage:
 //
 //	mistral-top -addr 127.0.0.1:6060 [-refresh 2s] [-once] [-check]
-//	mistral-top [-refresh 2s] [-once] [-check] PROVENANCE.jsonl
 package main
 
 import (
@@ -31,14 +22,13 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/obs/slo"
 	"github.com/mistralcloud/mistral/internal/obs/tsdb"
-	"github.com/mistralcloud/mistral/internal/provenance"
+	"github.com/mistralcloud/mistral/internal/stats"
 )
 
 func main() {
@@ -50,26 +40,19 @@ func main() {
 
 func run() error {
 	var (
-		addr    = flag.String("addr", "", "poll a live /ops endpoint at HOST:PORT (mistral-sim -pprof address)")
+		addr    = flag.String("addr", "", "poll the live /ops endpoint at HOST:PORT (mistral-sim/mistral-exp -pprof or mistral-serve -addr address)")
 		refresh = flag.Duration("refresh", 2*time.Second, "refresh interval")
 		once    = flag.Bool("once", false, "render one frame and exit")
 		check   = flag.Bool("check", false, "validate the source against the ops/SLO schemas and exit")
 	)
 	flag.Parse()
-	if (*addr == "") == (flag.NArg() != 1) {
-		return fmt.Errorf("usage: mistral-top -addr HOST:PORT | mistral-top PROVENANCE.jsonl")
+	if *addr == "" || flag.NArg() != 0 {
+		return fmt.Errorf("usage: mistral-top -addr HOST:PORT")
 	}
-
-	fetch := func() (*frame, error) { return fetchLive(*addr) }
 	source := "live " + *addr
-	if *addr == "" {
-		path := flag.Arg(0)
-		fetch = func() (*frame, error) { return replayFile(path) }
-		source = "replay " + path
-	}
 
 	if *check {
-		f, err := fetch()
+		f, err := fetchLive(*addr)
 		if err != nil {
 			return err
 		}
@@ -82,7 +65,7 @@ func run() error {
 	}
 
 	for {
-		f, err := fetch()
+		f, err := fetchLive(*addr)
 		if err != nil {
 			return err
 		}
@@ -183,65 +166,6 @@ func fetchLive(addr string) (*frame, error) {
 	return &f, nil
 }
 
-// replayFile reconstructs the ops view from a recorded provenance
-// stream, running every window through a fresh SLO engine. Re-reading
-// the whole file per refresh keeps the replay deterministic and lets a
-// growing file act as a live tail.
-func replayFile(path string) (*frame, error) {
-	fd, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer fd.Close()
-	recs, err := provenance.ReadAll(fd)
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("%s: no records", path)
-	}
-
-	eng := slo.New(slo.Config{}, nil)
-	f := &frame{ops: obs.OpsSnapshot{Schema: obs.OpsSchema, Strategy: recs[0].Strategy, Window: -1}}
-	for i := range recs {
-		r := &recs[i]
-		eng.ObserveWindow(slo.WindowObs{
-			Window:     r.Window,
-			Time:       time.Duration(r.TimeSec * float64(time.Second)),
-			Invoked:    r.Invoked,
-			Degraded:   r.Degraded,
-			SearchTime: time.Duration(r.SearchTimeSec * float64(time.Second)),
-		})
-		f.ops.Window = r.Window
-		f.ops.Trace = obs.TraceID(r.Window)
-		f.ops.TimeSec = r.TimeSec
-		f.ops.Windows++
-		f.ops.CumUtility = r.CumUtilityDollars
-		if r.Degraded {
-			f.ops.DegradedWindows++
-		}
-		f.ops.SlowestWindows = append(f.ops.SlowestWindows, obs.SlowWindow{
-			Window:        r.Window,
-			Trace:         obs.TraceID(r.Window),
-			SearchTimeSec: r.SearchTimeSec,
-			Degraded:      r.Degraded,
-		})
-	}
-	sort.SliceStable(f.ops.SlowestWindows, func(i, j int) bool {
-		return f.ops.SlowestWindows[i].SearchTimeSec > f.ops.SlowestWindows[j].SearchTimeSec
-	})
-	if len(f.ops.SlowestWindows) > obs.DefaultSlowWindows {
-		f.ops.SlowestWindows = f.ops.SlowestWindows[:obs.DefaultSlowWindows]
-	}
-	f.slo = eng.Snapshot()
-	raw, err := json.Marshal(f.slo)
-	if err != nil {
-		return nil, err
-	}
-	f.ops.SLO = raw
-	return f, nil
-}
-
 // render writes one terminal frame.
 func (f *frame) render(w io.Writer, source string) {
 	o := &f.ops
@@ -289,24 +213,8 @@ func (f *frame) render(w io.Writer, source string) {
 				mark = " (wall)"
 			}
 			fmt.Fprintf(w, "  %-16s %s  last %-10s min %-10s max %-10s%s\n",
-				h.Name, sparkline(h.Spark), fmtVal(h.Last), fmtVal(h.Min), fmtVal(h.Max), mark)
+				h.Name, stats.Sparkline(h.Spark, len(h.Spark)), fmtVal(h.Last), fmtVal(h.Min), fmtVal(h.Max), mark)
 		}
-	}
-
-	fmt.Fprintf(w, "\nslowest windows (top %d)\n", len(o.SlowestWindows))
-	for _, s := range o.SlowestWindows {
-		mark := ""
-		if s.Degraded {
-			mark = "  DEGRADED"
-		}
-		if s.WallMS > 0 {
-			fmt.Fprintf(w, "  %s  wall %7.1fms  search %6.2fs%s\n", s.Trace, s.WallMS, s.SearchTimeSec, mark)
-		} else {
-			fmt.Fprintf(w, "  %s  search %6.2fs%s\n", s.Trace, s.SearchTimeSec, mark)
-		}
-	}
-	if len(o.SlowestWindows) == 0 {
-		fmt.Fprintln(w, "  (none)")
 	}
 }
 
@@ -315,35 +223,6 @@ func orDash(s string) string {
 		return "-"
 	}
 	return s
-}
-
-// sparkRamp is the 8-level block ramp trend sparklines render with.
-var sparkRamp = []rune("▁▂▃▄▅▆▇█")
-
-// sparkline renders values as a block-character trend, scaled to the
-// vector's own min/max (a flat series renders as a low flat line).
-func sparkline(vs []float64) string {
-	if len(vs) == 0 {
-		return "-"
-	}
-	lo, hi := vs[0], vs[0]
-	for _, v := range vs {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	out := make([]rune, len(vs))
-	for i, v := range vs {
-		idx := 0
-		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * float64(len(sparkRamp)-1))
-		}
-		out[i] = sparkRamp[idx]
-	}
-	return string(out)
 }
 
 // opsSparkWidth is the widest sparkline vector in the digests (they are

@@ -14,11 +14,11 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/mistralcloud/mistral"
 	"github.com/mistralcloud/mistral/internal/predict"
+	"github.com/mistralcloud/mistral/internal/stats"
 	"github.com/mistralcloud/mistral/internal/workload"
 )
 
@@ -27,43 +27,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mistral-trace:", err)
 		os.Exit(1)
 	}
-}
-
-var sparks = []rune(" ▁▂▃▄▅▆▇█")
-
-// sparkline renders values as a fixed-width unicode sparkline.
-func sparkline(values []float64, width int) string {
-	if len(values) == 0 || width <= 0 {
-		return ""
-	}
-	// Downsample by averaging buckets.
-	buckets := make([]float64, width)
-	for i := range buckets {
-		lo := i * len(values) / width
-		hi := (i + 1) * len(values) / width
-		if hi <= lo {
-			hi = lo + 1
-		}
-		var sum float64
-		for _, v := range values[lo:min(hi, len(values))] {
-			sum += v
-		}
-		buckets[i] = sum / float64(hi-lo)
-	}
-	var mn, mx = buckets[0], buckets[0]
-	for _, v := range buckets {
-		mn = min(mn, v)
-		mx = max(mx, v)
-	}
-	var b strings.Builder
-	for _, v := range buckets {
-		idx := 0
-		if mx > mn {
-			idx = int((v - mn) / (mx - mn) * float64(len(sparks)-1))
-		}
-		b.WriteRune(sparks[idx])
-	}
-	return b.String()
 }
 
 func run() error {
@@ -95,7 +58,7 @@ func run() error {
 				peak, at = r, t
 			}
 		}
-		fmt.Printf("%-8s │%s│\n", n, sparkline(tr.Rates, *width))
+		fmt.Printf("%-8s │%s│\n", n, stats.Sparkline(tr.Rates, *width))
 		fmt.Printf("         mean %5.1f req/s   peak %5.1f req/s at %s\n\n",
 			tr.MeanRate(), peak, workload.Clock(at))
 	}
@@ -130,7 +93,7 @@ func run() error {
 		if mag > 0 {
 			errPct = absErr / mag * 100
 		}
-		fmt.Printf("%-8s │%s│\n", n, sparkline(vals, *width))
+		fmt.Printf("%-8s │%s│\n", n, stats.Sparkline(vals, *width))
 		fmt.Printf("         %d intervals   min %s   mean %s   max %s   ARMA error %.0f%%\n\n",
 			len(ivs), minIv, (sum / time.Duration(len(ivs))).Round(time.Second), maxIv, errPct)
 	}

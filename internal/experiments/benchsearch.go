@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
 	"github.com/mistralcloud/mistral/internal/core"
+	"github.com/mistralcloud/mistral/internal/stats"
 )
 
 // BenchResult is the machine-readable search-performance snapshot emitted
@@ -102,7 +102,7 @@ func BenchSearch(seed uint64, opts BenchOptions) (*BenchResult, error) {
 		hits += st.Hits
 		misses += st.Misses
 	}
-	lats := make([]time.Duration, 0, windows)
+	latsMs := make([]float64, 0, windows)
 	var wall time.Duration
 
 	var m0, m1 runtime.MemStats
@@ -124,7 +124,7 @@ func BenchSearch(seed uint64, opts BenchOptions) (*BenchResult, error) {
 		}
 		lat := time.Since(t0)
 		wall += lat
-		lats = append(lats, lat)
+		latsMs = append(latsMs, float64(lat.Nanoseconds())/1e6)
 		r.Expansions += res.Expanded
 		r.Generated += res.Generated
 	}
@@ -141,28 +141,9 @@ func BenchSearch(seed uint64, opts BenchOptions) (*BenchResult, error) {
 	if hits+misses > 0 {
 		r.CacheHitPct = 100 * float64(hits) / float64(hits+misses)
 	}
-	r.DecideP50Ms = QuantileMs(lats, 0.50)
-	r.DecideP99Ms = QuantileMs(lats, 0.99)
+	r.DecideP50Ms = stats.Quantile(latsMs, 0.50)
+	r.DecideP99Ms = stats.Quantile(latsMs, 0.99)
 	return r, nil
-}
-
-// QuantileMs returns the q-quantile of the samples in milliseconds
-// (nearest-rank on a sorted copy).
-func QuantileMs(lats []time.Duration, q float64) float64 {
-	if len(lats) == 0 {
-		return 0
-	}
-	s := make([]time.Duration, len(lats))
-	copy(s, lats)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(q*float64(len(s))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return float64(s[idx].Nanoseconds()) / 1e6
 }
 
 // WriteJSON writes the result as indented JSON to path.

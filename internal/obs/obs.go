@@ -1,6 +1,6 @@
 // Package obs is the repository's zero-dependency observability layer:
-// a metrics registry (counters, gauges, fixed-bucket histograms) exported
-// via expvar and dumpable as JSON, hierarchical virtual-time trace spans
+// a metrics registry (counters, gauges, fixed-bucket histograms) served as
+// Prometheus text and dumpable as JSON, hierarchical virtual-time trace spans
 // written as JSONL or Chrome trace_event JSON (openable in Perfetto), and
 // structured logging over log/slog with a no-op default.
 //

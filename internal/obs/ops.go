@@ -13,20 +13,6 @@ import (
 // CI scrapes) can reject incompatible payloads.
 const OpsSchema = "mistral.ops/v1"
 
-// DefaultSlowWindows is how many slowest windows an OpsState retains.
-const DefaultSlowWindows = 10
-
-// SlowWindow is one entry in the top-N slowest-decide leaderboard.
-// WallMS is explicitly wall-clock (observational); everything else is
-// virtual-time or count data.
-type SlowWindow struct {
-	Window        int     `json:"window"`
-	Trace         string  `json:"trace"`
-	WallMS        float64 `json:"wall_ms"`
-	SearchTimeSec float64 `json:"search_time_sec"`
-	Degraded      bool    `json:"degraded,omitempty"`
-}
-
 // OpsSnapshot is the controller-health document served at /ops. Wall
 // clock appears only in the explicitly-labeled *_ms / *_unix_ms fields;
 // all other quantities are virtual-time or deterministic counts.
@@ -46,155 +32,50 @@ type OpsSnapshot struct {
 	HostCrashes      int             `json:"host_crashes"`
 	LastDecideWallMS float64         `json:"last_decide_wall_ms"`
 	SLO              json.RawMessage `json:"slo,omitempty"`
-	SlowestWindows   []SlowWindow    `json:"slowest_windows,omitempty"`
 	// History digests the telemetry store's retained series (per-series
-	// min/max/last plus a sparkline vector of the newest values),
-	// refreshed by the scenario loop after each window.
+	// min/max/last plus a sparkline vector of the newest values).
 	History       []tsdb.Summary `json:"history,omitempty"`
 	UpdatedUnixMS int64          `json:"updated_unix_ms,omitempty"`
 }
 
-// OpsWindow is one completed window's contribution to the ops state.
-type OpsWindow struct {
-	Window     int
-	Trace      string
-	TimeSec    float64
-	CumUtility float64
-	Degraded   bool
-	Error      bool
-	Retries    int
-	Crashes    int
-	// WallMS is the decide call's wall-clock duration in milliseconds
-	// (observational only).
-	WallMS        float64
-	SearchTimeSec float64
-}
-
-// OpsState is the live controller-health surface behind /ops. The
-// scenario loop updates it once per window; the HTTP handler and
-// mistral-top read snapshots concurrently. A nil *OpsState is a valid
-// disabled state: every method returns immediately, so the default
-// (observability off) path pays only a nil check.
+// OpsState is the live controller-health surface behind /ops: a slot
+// holding the document the scenario engine last published. The engine
+// Sets a freshly built document after each window; the HTTP handler and
+// mistral-top read it concurrently. A nil *OpsState is a valid disabled
+// state: Set is a no-op and Snapshot serves the empty document.
 type OpsState struct {
 	mu   sync.Mutex
 	snap OpsSnapshot
-	topN int
 }
 
-// NewOpsState builds an ops state keeping the DefaultSlowWindows
-// slowest windows.
+// NewOpsState builds an ops state holding the empty document.
 func NewOpsState() *OpsState {
-	return &OpsState{snap: OpsSnapshot{Schema: OpsSchema, Window: -1}, topN: DefaultSlowWindows}
+	return &OpsState{snap: OpsSnapshot{Schema: OpsSchema, Window: -1}}
 }
 
-// BeginRun resets per-run aggregates and records the strategy under
-// observation. Sequential runs (experiment grids) each re-begin.
-func (s *OpsState) BeginRun(strategy string, interval time.Duration) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.snap = OpsSnapshot{
-		Schema:      OpsSchema,
-		Strategy:    strategy,
-		IntervalSec: interval.Seconds(),
-		Window:      -1,
-	}
-}
-
-// RecordWindow folds one completed window into the state.
-func (s *OpsState) RecordWindow(w OpsWindow) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sn := &s.snap
-	sn.Window = w.Window
-	sn.Trace = w.Trace
-	sn.TimeSec = w.TimeSec
-	sn.Windows++
-	sn.CumUtility = w.CumUtility
-	if w.Degraded {
-		sn.DegradedWindows++
-	}
-	if w.Error {
-		sn.DecideErrors++
-	}
-	sn.Retries += w.Retries
-	sn.HostCrashes += w.Crashes
-	sn.LastDecideWallMS = w.WallMS
-	sn.SlowestWindows = insertSlowWindow(sn.SlowestWindows, SlowWindow{
-		Window:        w.Window,
-		Trace:         w.Trace,
-		WallMS:        w.WallMS,
-		SearchTimeSec: w.SearchTimeSec,
-		Degraded:      w.Degraded,
-	}, s.topN)
-}
-
-// insertSlowWindow places one window into the descending-WallMS top-N
-// leaderboard: O(topN) per window instead of re-sorting the whole slice.
-// Ties keep arrival order (the stable-sort semantics the leaderboard
-// always had): a new entry goes after existing entries of equal WallMS.
-func insertSlowWindow(top []SlowWindow, w SlowWindow, topN int) []SlowWindow {
-	if topN <= 0 {
-		return top
-	}
-	if len(top) >= topN && w.WallMS <= top[len(top)-1].WallMS {
-		return top // below (or tied with) the cut line: stable order drops it
-	}
-	i := len(top)
-	for i > 0 && top[i-1].WallMS < w.WallMS {
-		i--
-	}
-	top = append(top, SlowWindow{})
-	copy(top[i+1:], top[i:])
-	top[i] = w
-	if len(top) > topN {
-		top = top[:topN]
-	}
-	return top
-}
-
-// SetSLO attaches the SLO engine's marshaled snapshot, refreshed by
-// the scenario loop after each window.
-func (s *OpsState) SetSLO(raw json.RawMessage) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.snap.SLO = raw
-}
-
-// SetHistory attaches the telemetry store's per-series digests,
-// refreshed by the scenario loop after each window.
-func (s *OpsState) SetHistory(sums []tsdb.Summary) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.snap.History = sums
-}
-
-// Snapshot returns a copy of the current state, stamping the wall-clock
+// Set publishes doc as the current document, stamping its wall-clock
 // update time (the one intentionally nondeterministic field, labeled as
-// such).
+// such). The state keeps doc's slices: the publisher hands over a
+// freshly built document and must not modify it afterwards.
+func (s *OpsState) Set(doc OpsSnapshot) {
+	if s == nil {
+		return
+	}
+	doc.UpdatedUnixMS = time.Now().UnixMilli()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.snap = doc
+}
+
+// Snapshot returns the current document. Its SLO and History slices are
+// shared with every other reader and must be treated as read-only.
 func (s *OpsState) Snapshot() OpsSnapshot {
 	if s == nil {
 		return OpsSnapshot{Schema: OpsSchema, Window: -1}
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sn := s.snap
-	sn.SlowestWindows = append([]SlowWindow(nil), s.snap.SlowestWindows...)
-	sn.SLO = append(json.RawMessage(nil), s.snap.SLO...)
-	sn.History = append([]tsdb.Summary(nil), s.snap.History...)
-	sn.UpdatedUnixMS = time.Now().UnixMilli()
-	return sn
+	return s.snap
 }
 
 // Handler serves the snapshot as JSON — the /ops endpoint mounted next

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"io"
 	"math"
 	"sort"
@@ -53,26 +52,16 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Exemplar ties a single observed value to the trace that produced it,
-// so a histogram bucket can answer "which window was that?". Only the
-// most recent exemplar is kept — enough to jump from a latency spike to
-// its causal trace via mistral-explain.
-type Exemplar struct {
-	Value float64 `json:"value"`
-	Trace string  `json:"trace"`
-}
-
 // Histogram counts observations into fixed buckets with inclusive upper
 // bounds ("le" semantics): an observation lands in the first bucket
 // whose bound is >= the value; values above the last bound land in an
 // implicit overflow bucket. All methods are safe for concurrent use; a
 // nil *Histogram is a valid no-op.
 type Histogram struct {
-	bounds   []float64 // sorted, finite upper bounds
-	counts   []int64   // len(bounds)+1; accessed atomically
-	count    atomic.Int64
-	sumBits  atomic.Uint64
-	exemplar atomic.Pointer[Exemplar]
+	bounds  []float64 // sorted, finite upper bounds
+	counts  []int64   // len(bounds)+1; accessed atomically
+	count   atomic.Int64
+	sumBits atomic.Uint64
 }
 
 func newHistogram(bounds []float64) *Histogram {
@@ -97,32 +86,18 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// ObserveExemplar records one value and remembers the trace ID that
-// produced it as the histogram's current exemplar.
-func (h *Histogram) ObserveExemplar(v float64, trace string) {
-	if h == nil {
-		return
-	}
-	h.Observe(v)
-	if trace != "" {
-		h.exemplar.Store(&Exemplar{Value: v, Trace: trace})
-	}
-}
-
 // HistogramSnapshot is a consistent-enough copy of a histogram: Bounds
 // holds the finite upper bounds and Counts one extra trailing overflow
 // bucket. P50/P90/P99 are bucket-interpolated quantile estimates (see
-// Quantile); they are 0 when the histogram is empty. Exemplar is the
-// most recent trace-tagged observation, when any.
+// Quantile); they are 0 when the histogram is empty.
 type HistogramSnapshot struct {
-	Bounds   []float64 `json:"bounds"`
-	Counts   []int64   `json:"counts"`
-	Count    int64     `json:"count"`
-	Sum      float64   `json:"sum"`
-	P50      float64   `json:"p50"`
-	P90      float64   `json:"p90"`
-	P99      float64   `json:"p99"`
-	Exemplar *Exemplar `json:"exemplar,omitempty"`
+	Bounds []float64 `json:"bounds"`
+	Counts []int64   `json:"counts"`
+	Count  int64     `json:"count"`
+	Sum    float64   `json:"sum"`
+	P50    float64   `json:"p50"`
+	P90    float64   `json:"p90"`
+	P99    float64   `json:"p99"`
 }
 
 // Quantile estimates the q-quantile (q in [0,1]) by locating the bucket
@@ -178,7 +153,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Counts[i] = atomic.LoadInt64(&h.counts[i])
 	}
 	s.P50, s.P90, s.P99 = s.Quantile(0.50), s.Quantile(0.90), s.Quantile(0.99)
-	s.Exemplar = h.exemplar.Load()
 	return s
 }
 
@@ -312,29 +286,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	}
 	_, err = w.Write(append(b, '\n'))
 	return err
-}
-
-// publishMu serializes Publish across every registry: expvar panics on
-// re-publication, and a bare Get-then-Publish is a check-then-act race
-// when two controllers (or two registries sharing an expvar name) start
-// concurrently. The mutex closes that window; the first publisher wins
-// and later calls are silent no-ops, never panics.
-var publishMu sync.Mutex
-
-// Publish exports the registry under the given expvar name (served at
-// /debug/vars when an HTTP server runs). Publishing a name twice —
-// even concurrently, even from different registries — is ignored:
-// expvar itself panics on re-publication, so this is the single safe
-// entry point for sharing a registry name across hierarchy or zone
-// controllers.
-func (r *Registry) Publish(name string) {
-	if r == nil {
-		return
-	}
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	if expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

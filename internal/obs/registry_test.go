@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
 	"sync"
 	"testing"
 )
@@ -91,21 +90,26 @@ func TestRegistryWriteJSON(t *testing.T) {
 	}
 }
 
-func TestRegistryPublishExpvar(t *testing.T) {
+// TestHistogramDuplicateRegistration pins the return-existing guard:
+// re-registering a histogram under the same name — even with different
+// bounds — hands back the first collector instead of panicking or
+// resetting counts.
+func TestHistogramDuplicateRegistration(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("x").Inc()
-	r.Publish("obs_test_registry")
-	r.Publish("obs_test_registry") // second publish must not panic
-	v := expvar.Get("obs_test_registry")
-	if v == nil {
-		t.Fatal("expvar name not published")
+	h1 := r.Histogram("h", []float64{1, 2, 3})
+	h1.Observe(1)
+	h2 := r.Histogram("h", []float64{100}) // different bounds: first wins
+	if h1 != h2 {
+		t.Fatal("duplicate registration returned a different collector")
 	}
-	var s Snapshot
-	if err := json.Unmarshal([]byte(v.String()), &s); err != nil {
-		t.Fatalf("expvar value is not valid JSON: %v", err)
+	if got := len(h2.Snapshot().Bounds); got != 3 {
+		t.Fatalf("bounds overwritten: %d", got)
 	}
-	if s.Counters["x"] != 1 {
-		t.Errorf("expvar snapshot = %+v", s)
+	if c1, c2 := r.Counter("c"), r.Counter("c"); c1 != c2 {
+		t.Fatal("duplicate counter registration returned a different collector")
+	}
+	if g1, g2 := r.Gauge("g"), r.Gauge("g"); g1 != g2 {
+		t.Fatal("duplicate gauge registration returned a different collector")
 	}
 }
 

@@ -27,10 +27,10 @@ type CLI struct {
 	// LogLevel enables structured logging to stderr at debug, info,
 	// warn, or error.
 	LogLevel string
-	// PprofAddr serves net/http/pprof, expvar (/debug/vars), the live
-	// Prometheus exposition (/metrics), and the ops-plane snapshot
-	// (/ops) on this address, e.g. "localhost:6060". Use ":0" forms to
-	// bind an ephemeral port; the bound address lands in
+	// PprofAddr serves net/http/pprof, the live Prometheus exposition
+	// (/metrics), the ops-plane snapshot (/ops), and the trend-query API
+	// (/v1/query) on this address, e.g. "localhost:6060". Use ":0" forms
+	// to bind an ephemeral port; the bound address lands in
 	// Observer.HTTPAddr.
 	PprofAddr string
 	// Handlers mounts extra endpoints on the same listener as /metrics
@@ -57,7 +57,6 @@ func (c CLI) Build() (*Observer, func() error, error) {
 		return nil, nop, nil
 	}
 	o := &Observer{Metrics: NewRegistry()}
-	o.Metrics.Publish("mistral")
 
 	var traceFile *os.File
 	if c.TracePath != "" {
@@ -87,7 +86,7 @@ func (c CLI) Build() (*Observer, func() error, error) {
 	if c.PprofAddr != "" {
 		o.Ops = NewOpsState()
 		o.History = tsdb.New(tsdb.Options{})
-		// pprof and expvar register on the default mux; wrap it so the
+		// pprof registers on the default mux; wrap it so the
 		// Prometheus, ops, and trend-query endpoints ride the same
 		// listener.
 		mux := http.NewServeMux()

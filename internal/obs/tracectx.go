@@ -9,8 +9,8 @@ import (
 )
 
 // TraceContext is the causal identity of one monitoring window. Every
-// observability stream — trace spans, metrics exemplars, provenance
-// records, SLO alerts, log lines — carries the same window-derived ID,
+// observability stream — trace spans, provenance records, SLO alerts,
+// the /ops document, log lines — carries the same window-derived ID,
 // so mistral-explain and the ops plane can stitch one window's story
 // across all of them.
 //

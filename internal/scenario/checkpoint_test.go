@@ -22,6 +22,7 @@ type ckEnv struct {
 	engine *scenario.Engine
 	prov   *bytes.Buffer
 	hist   *tsdb.Store
+	ops    *obs.OpsState
 }
 
 func newCkEnv(t *testing.T, workers int) *ckEnv {
@@ -51,7 +52,7 @@ func newCkEnv(t *testing.T, workers int) *ckEnv {
 	// A fresh metrics registry per environment: the restore path must
 	// re-seat the cumulative counters the SLO engine diffs, exactly as a
 	// restarted process would have to.
-	ob := &obs.Observer{Metrics: obs.NewRegistry(), History: tsdb.New(tsdb.Options{})}
+	ob := &obs.Observer{Metrics: obs.NewRegistry(), Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
 	e, err := scenario.NewEngine(tb, dec, scenario.RunConfig{
 		Traces:     lab.Traces,
 		Duration:   100 * lab.Util.MonitoringInterval,
@@ -64,7 +65,7 @@ func newCkEnv(t *testing.T, workers int) *ckEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &ckEnv{engine: e, prov: buf, hist: ob.History}
+	return &ckEnv{engine: e, prov: buf, hist: ob.History, ops: ob.Ops}
 }
 
 // histQueryJSON renders a raw-resolution trend query over the full window
@@ -175,6 +176,52 @@ func TestCheckpointRoundTripDeterminism(t *testing.T) {
 				t.Errorf("history query diverges after restore:\nfull:    %s\nresumed: %s", fullHist, resumedHist)
 			}
 		})
+	}
+}
+
+// opsJSON serializes the published /ops document without its two
+// wall-clock fields, the publish stamp and the last decide's wall time.
+func opsJSON(t *testing.T, ops *obs.OpsState) []byte {
+	t.Helper()
+	doc := ops.Snapshot()
+	doc.UpdatedUnixMS, doc.LastDecideWallMS = 0, 0
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestRestoredEngineServesCheckpointedOps pins that a restore republishes
+// /ops from the restored state: the fresh engine serves the document the
+// checkpointed engine was serving — window cursor, trace, counters,
+// cumulative utility, SLO block and trend digests — not an empty run.
+func TestRestoredEngineServesCheckpointedOps(t *testing.T) {
+	src := newCkEnv(t, 1)
+	stepN(t, src.engine, 5)
+	snap, err := src.engine.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckBytes, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restored scenario.Snapshot
+	if err := json.Unmarshal(ckBytes, &restored); err != nil {
+		t.Fatal(err)
+	}
+	dst := newCkEnv(t, 1)
+	if err := dst.engine.Restore(&restored); err != nil {
+		t.Fatal(err)
+	}
+	want, got := opsJSON(t, src.ops), opsJSON(t, dst.ops)
+	if !bytes.Equal(want, got) {
+		t.Errorf("restored /ops differs from the checkpointed engine's:\nsource:   %s\nrestored: %s", want, got)
+	}
+	if doc := dst.ops.Snapshot(); doc.Window != 4 || doc.Windows != 5 || len(doc.SLO) == 0 || len(doc.History) == 0 {
+		t.Errorf("restored /ops window %d, windows %d, slo %d bytes, %d series; want 4, 5, non-empty, non-empty",
+			doc.Window, doc.Windows, len(doc.SLO), len(doc.History))
 	}
 }
 

@@ -136,7 +136,6 @@ func NewEngine(tb *testbed.Testbed, d Decider, cfg RunConfig) (*Engine, error) {
 		e.slo = slo.New(slo.Config{Interval: cfg.Interval}, o)
 	}
 	e.ops = o.OpsState()
-	e.ops.BeginRun(d.Name(), cfg.Interval)
 
 	// Telemetry history defaults on with any observer, like the SLO
 	// engine: an explicit store in the config wins, then the observer's
@@ -156,6 +155,7 @@ func NewEngine(tb *testbed.Testbed, d Decider, cfg RunConfig) (*Engine, error) {
 		e.histSyncBaselines()
 	}
 	e.ta, _ = d.(TraceAware)
+	e.publishOps(0)
 	return e, nil
 }
 
@@ -365,7 +365,6 @@ func (e *Engine) StepRates(rates map[string]float64) (StepResult, error) {
 	var provs []*provenance.DecisionProv
 	var gp *provenance.GuardProv
 	var decideWall time.Duration
-	decideErred := false
 	if !busy {
 		sp := tr.Start("decide", t,
 			obs.Attr{Key: "strategy", Value: d.Name()},
@@ -382,7 +381,6 @@ func (e *Engine) StepRates(rates map[string]float64) (StepResult, error) {
 				"budget", cfg.Profile.Budget(), "artifacts", paths)
 		}
 		if err != nil {
-			decideErred = true
 			sp.End(t, obs.Attr{Key: "error", Value: err.Error()})
 			olog.Warn("decide failed; degrading to no adaptation",
 				"strategy", d.Name(), "t", t, "err", err)
@@ -505,7 +503,7 @@ func (e *Engine) StepRates(rates map[string]float64) (StepResult, error) {
 	}
 	e.cWindows.Inc()
 	e.cViolations.Add(int64(res.TargetViolations - violationsBefore))
-	e.hWindowUtil.ObserveExemplar(log.Utility, tc.ID())
+	e.hWindowUtil.Observe(log.Utility)
 	e.gCumUtil.Set(res.CumUtility)
 	olog.Info("window",
 		"strategy", d.Name(),
@@ -535,7 +533,7 @@ func (e *Engine) StepRates(rates map[string]float64) (StepResult, error) {
 
 	// Self-monitoring: the SLO engine folds the window's virtual-time
 	// facts in; any alerts surface on the log with the window's trace
-	// ID, and the ops plane gets the refreshed health snapshot.
+	// ID.
 	if e.slo != nil {
 		alerts := e.slo.ObserveWindow(slo.WindowObs{
 			Window:      e.winIdx,
@@ -559,33 +557,47 @@ func (e *Engine) StepRates(rates map[string]float64) (StepResult, error) {
 				"msg", a.Message)
 		}
 	}
-	if e.ops != nil {
-		e.ops.RecordWindow(obs.OpsWindow{
-			Window:        e.winIdx,
-			Trace:         tc.ID(),
-			TimeSec:       log.Time.Seconds(),
-			CumUtility:    res.CumUtility,
-			Degraded:      log.Degraded,
-			Error:         decideErred,
-			Retries:       log.Retried,
-			Crashes:       log.HostCrashes,
-			WallMS:        float64(decideWall.Microseconds()) / 1000,
-			SearchTimeSec: log.SearchTime.Seconds(),
-		})
-		if e.slo != nil {
-			if raw, err := json.Marshal(e.slo.Snapshot()); err == nil {
-				e.ops.SetSLO(raw)
-			}
-		}
-		if e.hist != nil {
-			e.ops.SetHistory(e.hist.Summaries(opsSparkN))
-		}
-	}
-
 	sr := StepResult{Index: e.winIdx, Window: log, ProvErr: cfg.Provenance.Err()}
 	e.t = t + cfg.Interval
 	e.winIdx++
+	e.publishOps(decideWall)
 	return sr, nil
+}
+
+// publishOps rebuilds the /ops document from the engine's own state — the
+// result's counters, the window cursor, the SLO engine and the history
+// store — and publishes it, so the document after a Restore is the one
+// the checkpointed engine was serving. lastDecideWall is the most recent
+// window's decide wall time (zero when it ran no decide).
+func (e *Engine) publishOps(lastDecideWall time.Duration) {
+	if e.ops == nil {
+		return
+	}
+	res := e.res
+	doc := obs.OpsSnapshot{
+		Schema:           obs.OpsSchema,
+		Strategy:         res.Strategy,
+		IntervalSec:      e.cfg.Interval.Seconds(),
+		Window:           e.winIdx - 1,
+		TimeSec:          e.t.Seconds(),
+		Windows:          e.winIdx,
+		CumUtility:       res.CumUtility,
+		DegradedWindows:  res.DegradedWindows,
+		DecideErrors:     res.DecideErrors,
+		Retries:          res.Retries,
+		HostCrashes:      res.HostCrashes,
+		LastDecideWallMS: float64(lastDecideWall.Microseconds()) / 1000,
+		History:          e.hist.Summaries(opsSparkN),
+	}
+	if doc.Window >= 0 {
+		doc.Trace = obs.TraceID(doc.Window)
+	}
+	if e.slo != nil {
+		if raw, err := json.Marshal(e.slo.Snapshot()); err == nil {
+			doc.SLO = raw
+		}
+	}
+	e.ops.Set(doc)
 }
 
 // Close finalizes the result (mean search time over invocations) and

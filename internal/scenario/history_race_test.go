@@ -85,12 +85,12 @@ func TestConcurrentScrapesWhileStepping(t *testing.T) {
 		}
 	}()
 
-	// /ops hammer: every body must be a schema-valid snapshot and the
-	// window cursor must never run backwards.
+	// /ops hammer: every body must be a schema-valid snapshot, and neither
+	// the window cursor nor the windows counter may run backwards.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		lastWin := -2
+		lastWin, lastWindows := -2, 0
 		for {
 			select {
 			case <-stop:
@@ -115,7 +115,11 @@ func TestConcurrentScrapesWhileStepping(t *testing.T) {
 				t.Errorf("/ops window ran backwards: %d after %d", snap.Window, lastWin)
 				return
 			}
-			lastWin = snap.Window
+			if snap.Windows < lastWindows || snap.Windows != snap.Window+1 {
+				t.Errorf("/ops windows %d at window %d after %d", snap.Windows, snap.Window, lastWindows)
+				return
+			}
+			lastWin, lastWindows = snap.Window, snap.Windows
 		}
 	}()
 

@@ -246,10 +246,10 @@ func (e *Engine) Restore(s *Snapshot) error {
 		}
 		e.det.Restore(s.Anomaly)
 		e.histSyncBaselines()
-		e.ops.SetHistory(e.hist.Summaries(opsSparkN))
 	}
-	// Republish the headline gauges so a freshly restored daemon's
-	// /metrics reflects the checkpoint instead of zero.
+	// Republish the headline gauge and the /ops document so a freshly
+	// restored daemon serves the checkpoint instead of an empty run.
 	e.gCumUtil.Set(e.res.CumUtility)
+	e.publishOps(0)
 	return nil
 }

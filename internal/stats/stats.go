@@ -6,6 +6,7 @@ package stats
 import (
 	"math"
 	"sort"
+	"strings"
 	"time"
 )
 
@@ -197,4 +198,44 @@ func Clamp(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
+}
+
+// sparkLevels is the sparkline ramp, lowest level blank.
+var sparkLevels = []rune(" ▁▂▃▄▅▆▇█")
+
+// Sparkline renders values as a width-character unicode sparkline scaled
+// to the plotted range. Values are averaged into width equal buckets
+// (width > len(values) repeats samples); a flat series renders at the
+// lowest, blank level. It returns "" for no values or width <= 0.
+func Sparkline(values []float64, width int) string {
+	if len(values) == 0 || width <= 0 {
+		return ""
+	}
+	buckets := make([]float64, width)
+	for i := range buckets {
+		lo := i * len(values) / width
+		hi := (i + 1) * len(values) / width
+		if hi <= lo {
+			hi = lo + 1
+		}
+		var sum float64
+		for _, v := range values[lo:hi] {
+			sum += v
+		}
+		buckets[i] = sum / float64(hi-lo)
+	}
+	mn, mx := buckets[0], buckets[0]
+	for _, v := range buckets {
+		mn = min(mn, v)
+		mx = max(mx, v)
+	}
+	var b strings.Builder
+	for _, v := range buckets {
+		idx := 0
+		if mx > mn {
+			idx = int((v - mn) / (mx - mn) * float64(len(sparkLevels)-1))
+		}
+		b.WriteRune(sparkLevels[idx])
+	}
+	return b.String()
 }

@@ -202,3 +202,24 @@ func TestQuantileSortedProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+func TestSparkline(t *testing.T) {
+	cases := []struct {
+		name   string
+		values []float64
+		width  int
+		want   string
+	}{
+		{"empty", nil, 4, ""},
+		{"zero width", []float64{1, 2}, 0, ""},
+		{"flat", []float64{3, 3, 3}, 3, "   "},
+		{"identity", []float64{0, 4, 8}, 3, " ▄█"},
+		{"width > len repeats samples", []float64{0, 8}, 4, "  ██"},
+		{"width < len averages buckets", []float64{0, 0, 8, 8}, 2, " █"},
+	}
+	for _, c := range cases {
+		if got := Sparkline(c.values, c.width); got != c.want {
+			t.Errorf("%s: Sparkline(%v, %d) = %q, want %q", c.name, c.values, c.width, got, c.want)
+		}
+	}
+}
