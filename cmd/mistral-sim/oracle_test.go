@@ -63,13 +63,13 @@ func sha(b []byte) string {
 	return fmt.Sprintf("%x", sum)
 }
 
-// runOracleCell runs mistral-sim on the cell's recipe in a child process
-// and fills in its digests.
-func runOracleCell(t *testing.T, c oracleCell) oracleCell {
+// runOracleCell runs mistral-sim on the cell's recipe at the given
+// workers setting in a child process and fills in its digests.
+func runOracleCell(t *testing.T, c oracleCell, workers int) oracleCell {
 	t.Helper()
 	prov := filepath.Join(t.TempDir(), "prov.jsonl")
 	args := []string{
-		"-apps", "2", "-workers", "1", "-duration", "1h", "-guard", "-csv",
+		"-apps", "2", "-workers", fmt.Sprint(workers), "-duration", "1h", "-guard", "-csv",
 		"-strategy", c.Strategy,
 		"-fault-rate", fmt.Sprint(c.FaultRate),
 		"-exec-policy", c.ExecPolicy,
@@ -92,16 +92,33 @@ func runOracleCell(t *testing.T, c oracleCell) oracleCell {
 
 // TestDecisionOracle pins mistral-sim's window table and provenance
 // stream, byte for byte, across strategies, fault rates and execution
-// policies. A change that moves a digest changes behaviour: regenerate
-// with -update only when that is intended, and say why.
+// policies. Each mistral cell is replayed again at workers 2 — parallel
+// child staging, Perf-Pwr sweep arms and the 1st-level fan-out — and must
+// reproduce the serial digests. A change that moves a digest changes
+// behaviour: regenerate with -update only when that is intended, and say
+// why.
 func TestDecisionOracle(t *testing.T) {
 	if testing.Short() {
-		t.Skip("replays 8 recipes")
+		t.Skip("replays 12 recipes")
 	}
 	golden := filepath.Join("testdata", "oracle.json")
 	var got []oracleCell
 	for _, c := range oracleMatrix() {
-		got = append(got, runOracleCell(t, c))
+		got = append(got, runOracleCell(t, c, 1))
+	}
+	// The parallel replays are held to the serial digests: the committed
+	// ones, or the fresh ones when regenerating.
+	serial := got
+	if !*update {
+		serial = readOracle(t, golden)
+	}
+	for i, c := range oracleMatrix() {
+		if c.Strategy != "mistral" || i >= len(serial) {
+			continue
+		}
+		if par := runOracleCell(t, c, 2); par != serial[i] {
+			t.Errorf("%s/workers=2: digests differ from workers 1:\n got %+v\nwant %+v", c.name(), par, serial[i])
+		}
 	}
 	if *update {
 		raw, err := json.MarshalIndent(got, "", "  ")
@@ -116,14 +133,7 @@ func TestDecisionOracle(t *testing.T) {
 		}
 		return
 	}
-	raw, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (generate with -update)", err)
-	}
-	var want []oracleCell
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := serial
 	if len(want) != len(got) {
 		t.Fatalf("oracle has %d cells, matrix has %d", len(want), len(got))
 	}
@@ -132,4 +142,18 @@ func TestDecisionOracle(t *testing.T) {
 			t.Errorf("%s: digests moved:\n got %+v\nwant %+v", got[i].name(), got[i], want[i])
 		}
 	}
+}
+
+// readOracle loads the committed oracle cells.
+func readOracle(t *testing.T, golden string) []oracleCell {
+	t.Helper()
+	raw, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (generate with -update)", err)
+	}
+	var want []oracleCell
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
 }
