@@ -69,13 +69,18 @@ type SearchOptions struct {
 	// §IV-B describes; the margin bounds that tail for the naive search
 	// without affecting which plan wins by more than ε.
 	EpsilonMargin float64
-	// Workers bounds the goroutines evaluating an expansion's children
-	// concurrently (default min(GOMAXPROCS, 8); 1 reproduces the serial
-	// path exactly). Results are merged in enumeration order, so the plan,
-	// pruning, and self-aware accounting are identical at every setting —
-	// only wall-clock time changes. The simulated decision-making time
-	// (TimePerChild per child) deliberately ignores Workers: it models the
-	// paper's single controller host.
+	// Workers bounds the goroutines staging an expansion's children
+	// (validate, price the transient, fingerprint, score) concurrently
+	// (default min(GOMAXPROCS, 8); 1 reproduces the serial path exactly).
+	// The same setting, carried by ControllerOptions.Workers and
+	// strategy.MistralConfig.Workers, bounds the other two parallel
+	// stages: the Perf-Pwr sweep arms and the hierarchy's 1st-level
+	// fan-out. Nothing is solved speculatively, so every LQN solve is one
+	// the serial path also makes. Results are merged in enumeration order,
+	// so the plan, pruning, and self-aware accounting are identical at
+	// every setting — only wall-clock time changes. The simulated
+	// decision-making time (TimePerChild per child) deliberately ignores
+	// Workers: it models the paper's single controller host.
 	Workers int
 	// Provenance enables the search flight recorder: the returned
 	// SearchResult carries a bounded provenance.SearchDigest (expanded
@@ -473,7 +478,6 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 	// only for surviving children and heap growth.
 	var descs []childDesc
 	var pruneIdx []int
-	var warm []*vertex
 	var batchStart time.Duration // virtual start of the current trace batch
 
 	slack := opts.EpsilonMargin * (math.Abs(idealRate)*cwSec + 1e-9)
@@ -685,7 +689,6 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		}
 		pruneIdx = order[:0]
 
-		warm = warm[:0]
 		for _, i := range order {
 			if i < 0 {
 				if bestCandidate == nil || finChild.utility > bestCandidate.utility {
@@ -716,22 +719,9 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 				utility: d.utility,
 			}
 			heap.Push(open, child)
-			warm = append(warm, child)
 		}
 		if open.Len() > res.PeakFrontier {
 			res.PeakFrontier = open.Len()
-		}
-		// Pre-solve the steady states the coming expansions will look up,
-		// in parallel: the per-pop LQN solve is the search's serial
-		// bottleneck, and the memo cache turns these into hits. Results are
-		// pure and errors are dropped — a failing configuration fails
-		// identically when popped — so decisions do not depend on this
-		// (only wall-clock time and cache statistics do). Skipped at one
-		// worker, where it could only add work.
-		if opts.Workers > 1 && len(warm) > 1 {
-			par.For(len(warm), opts.Workers, func(i int) {
-				_, _ = s.eval.SteadyFP(warm[i].cfg, rates, rfp)
-			})
 		}
 	}
 
