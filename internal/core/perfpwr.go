@@ -1,11 +1,14 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
@@ -432,29 +435,6 @@ func minHostsNeeded(cat *cluster.Catalog, hosts []string) int {
 	return n
 }
 
-// allocState is the reduction search state: which replicas are active and
-// their CPU allocations.
-type allocState struct {
-	cpu map[cluster.VMID]float64 // active VMs only
-}
-
-func (s allocState) clone() allocState {
-	n := allocState{cpu: make(map[cluster.VMID]float64, len(s.cpu))}
-	for id, c := range s.cpu {
-		n.cpu[id] = c
-	}
-	return n
-}
-
-func (s allocState) sortedVMs() []cluster.VMID {
-	ids := make([]cluster.VMID, 0, len(s.cpu))
-	for id := range s.cpu {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // packScope bounds what the reduction/packing loop may touch: the VMs it
 // places (everything else is held fixed), whether it may deactivate
 // replicas, and optional hard response-time ceilings that reductions must
@@ -487,40 +467,32 @@ func (s packScope) meetsTargets(st Steady, rates map[string]float64) bool {
 }
 
 // packWithReduction runs the §IV-A loop for a fixed host subset.
+//
+// The loop works on dense state (see reduction): each managed VM has an
+// ordinal in sorted-ID order, a CPU allocation and an active flag. Each
+// candidate reduction is applied in place, scored, and undone by writing
+// back the exact saved value (never by re-adding the step, whose rounding
+// could drift); only the best candidate's ordinal, kind and scores are
+// kept, and the winner is re-applied at the end of the round.
 func packWithReduction(e *Evaluator, rates map[string]float64, scope packScope, hosts []string) (cluster.Config, bool, error) {
 	cat := e.cat
-	// Initial state: every managed replica active at maximum capacity.
-	state := allocState{cpu: make(map[cluster.VMID]float64, len(scope.managed))}
-	maxCPU := cat.MaxVMCPUPct()
-	for _, id := range scope.managed {
-		state.cpu[id] = maxCPU
-	}
+	r := newReduction(e, rates, scope, hosts)
 
-	evalState := func(s allocState) (float64, Steady, error) {
-		cfg := spreadConfig(s, scope, hosts)
-		st, err := e.Steady(cfg, rates)
-		if err != nil {
-			return 0, Steady{}, err
-		}
-		return meanAllocUtil(s, rates, e, scope), st, nil
-	}
-
-	curRho, curSt, err := evalState(state)
+	curSt, err := r.steady()
 	if err != nil {
 		return cluster.Config{}, false, err
 	}
-	curPerf := curSt.PerfRate
+	curRho, curPerf := r.rho(), curSt.PerfRate
 	if !scope.meetsTargets(curSt, rates) {
 		// Even maximum capacities violate a hard target: infeasible.
 		return cluster.Config{}, false, nil
 	}
 
-	var blocked cluster.VMID
 	for iter := 0; ; iter++ {
-		cfg, ok, blockedVM := binPack(cat, state, scope, hosts)
+		cfg, blocked, ok := r.binPack()
 		if ok {
 			if scope.rtTargets != nil {
-				st, err := e.Steady(cfg, rates)
+				st, err := e.SteadyFP(cfg, rates, r.rfp)
 				if err != nil {
 					return cluster.Config{}, false, err
 				}
@@ -530,38 +502,39 @@ func packWithReduction(e *Evaluator, rates map[string]float64, scope packScope, 
 			}
 			return cfg, true, nil
 		}
-		blocked = blockedVM
 		// When the blocker is pinned to a zone, cutting VMs pinned to a
 		// *different* zone cannot unblock the packing — unrestricted
 		// gradient cuts would starve unrelated applications first. VMs
 		// pinned to the same zone and unpinned VMs (which may be hogging
 		// the blocked zone) remain candidates.
-		var helps func(cluster.VMID) bool
-		if pin, pinned := scope.zonePins[blocked]; pinned {
-			helps = func(id cluster.VMID) bool {
-				z, ok := scope.zonePins[id]
+		helps := func(int) bool { return true }
+		if pin, pinned := scope.zonePins[r.ids[blocked]]; pinned {
+			helps = func(i int) bool {
+				z, ok := scope.zonePins[r.ids[i]]
 				return !ok || z == pin
 			}
-		} else {
-			helps = func(cluster.VMID) bool { return true }
 		}
-		// Generate reduction candidates.
-		type candidate struct {
-			state     allocState
-			rho, perf float64
-			gradient  float64
-			rt        float64
+
+		// Score each candidate as it is generated and keep the best.
+		// Highest gradient wins; ties (common when the flat penalty makes
+		// further cuts to a saturated VM "free") break toward the candidate
+		// with the lowest aggregate response time, so reductions spread
+		// rather than starving one VM. Earlier candidates win exact ties.
+		var best struct {
+			vm               int
+			remove           bool
+			rho, perf, g, rt float64
 		}
-		var candidates []candidate
-		consider := func(s allocState) error {
-			rho, st, err := evalState(s)
+		found := false
+		consider := func(vm int, remove bool) error {
+			st, err := r.steady()
 			if err != nil {
 				return err
 			}
 			if !scope.meetsTargets(st, rates) {
 				return nil // hard targets: this reduction is off the table
 			}
-			perf := st.PerfRate
+			rho, perf := r.rho(), st.PerfRate
 			dRho := rho - curRho
 			dPerf := curPerf - perf // utility lost by the reduction
 			g := math.Inf(1)
@@ -570,58 +543,369 @@ func packWithReduction(e *Evaluator, rates map[string]float64, scope packScope, 
 			} else if dRho <= 1e-12 {
 				g = 0
 			}
-			candidates = append(candidates, candidate{state: s, rho: rho, perf: perf, gradient: g, rt: sumRT(st)})
+			rt := sumRT(st)
+			if !found || g > best.g || (g == best.g && rt < best.rt) {
+				best.vm, best.remove = vm, remove
+				best.rho, best.perf, best.g, best.rt = rho, perf, g, rt
+				found = true
+			}
 			return nil
 		}
 		// (a) reduce one VM's capacity by a step.
-		for _, id := range state.sortedVMs() {
-			if !helps(id) {
+		for i := range r.ids {
+			if !r.active[i] || !helps(i) {
 				continue
 			}
-			if state.cpu[id]-cat.CPUStepPct >= cat.MinCPUPct-1e-9 {
-				s := state.clone()
-				s.cpu[id] -= cat.CPUStepPct
-				if err := consider(s); err != nil {
+			if old := r.cpu[i]; old-cat.CPUStepPct >= cat.MinCPUPct-1e-9 {
+				r.setCPU(i, old-cat.CPUStepPct)
+				err := consider(i, false)
+				r.setCPU(i, old)
+				if err != nil {
 					return cluster.Config{}, false, err
 				}
 			}
 		}
 		// (b) remove one replica from tiers with more than one active.
 		if scope.allowReplicaRemoval {
-			for _, k := range cat.Tiers() {
-				active := activeReplicas(cat, state, k)
-				if len(active) <= 1 {
+			for t := range r.tiers {
+				if r.tiers[t].active <= 1 {
 					continue
 				}
-				victim := active[len(active)-1]
+				victim := r.lastActive(t)
 				if !helps(victim) {
 					continue
 				}
-				s := state.clone()
-				delete(s.cpu, victim)
-				if err := consider(s); err != nil {
+				r.deactivate(victim)
+				err := consider(victim, true)
+				r.activate(victim)
+				if err != nil {
 					return cluster.Config{}, false, err
 				}
 			}
 		}
-		if len(candidates) == 0 {
+		if !found {
 			return cluster.Config{}, false, nil // fully reduced, still unpackable
 		}
-		// Highest gradient wins; ties (common when the flat penalty makes
-		// further cuts to a saturated VM "free") break toward the candidate
-		// with the lowest aggregate response time, so reductions spread
-		// rather than starving one VM.
-		best := candidates[0]
-		for _, c := range candidates[1:] {
-			if c.gradient > best.gradient || (c.gradient == best.gradient && c.rt < best.rt) {
-				best = c
-			}
+		if best.remove {
+			r.deactivate(best.vm)
+		} else {
+			r.setCPU(best.vm, r.cpu[best.vm]-cat.CPUStepPct)
 		}
-		state, curRho, curPerf = best.state, best.rho, best.perf
+		curRho, curPerf = best.rho, best.perf
 		if iter > 10000 {
 			return cluster.Config{}, false, fmt.Errorf("core: Perf-Pwr reduction did not converge")
 		}
 	}
+}
+
+// reduction is the dense state of one reduction/packing loop. The managed
+// VMs sit at ordinals in sorted-ID order, the order every floating-point
+// fold over them runs in, so ρ and the ideals are bit-identical to folds
+// over a sorted map. Everything constant for the loop is resolved once: the
+// catalog specs, each VM's ρ demand numerator, tier membership and the
+// scope's fixed replica counts, and the in-scope hosts' capacity left by
+// fixed VMs.
+type reduction struct {
+	e     *Evaluator
+	scope packScope
+	hosts []string
+	rates map[string]float64
+	rfp   RatesFP
+
+	ids    []cluster.VMID   // managed VMs, sorted
+	vms    []cluster.VMSpec // catalog spec of ids[i]
+	cpu    []float64        // allocation of ids[i], meaningful while active
+	active []bool
+	// num is the ∇ρ demand numerator rates[app]·MeanDemandMS(tier)/1000;
+	// VMs missing from the catalog or whose application the model lacks
+	// are left out of ρ (inRho false).
+	num   []float64
+	inRho []bool
+	tier  []int // index into tiers, valid for catalog VMs
+	tiers []reductionTier
+
+	// spread is the configuration the model evaluates for the current
+	// state: the fixed remainder plus every active VM round-robin over the
+	// host subset in ordinal order, ignoring capacity — intermediate
+	// configurations are legal for model evaluation, which depends almost
+	// entirely on allocations. Every mutation keeps it in step.
+	spread cluster.Config
+
+	// binPack inputs and scratch.
+	hostBase []packHost // in-scope hosts with the fixed VMs' usage taken
+	packHs   []packHost
+	order    []int
+}
+
+// reductionTier is one catalog tier as the reduction loop sees it.
+type reductionTier struct {
+	members []int // ordinals of its managed replicas, ascending (catalog order)
+	active  int   // active managed replicas
+	fixed   int   // replicas active in the scope's fixed remainder
+}
+
+// packHost is one in-scope host's remaining capacity during binPack.
+type packHost struct {
+	name, zone string
+	freeCPU    float64
+	freeMem    int
+	slots      int
+	used       bool
+}
+
+// newReduction builds the loop's initial state: every managed replica
+// active at maximum capacity.
+func newReduction(e *Evaluator, rates map[string]float64, scope packScope, hosts []string) *reduction {
+	cat := e.cat
+	ids := append([]cluster.VMID(nil), scope.managed...)
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	n := len(ids)
+	r := &reduction{
+		e: e, scope: scope, hosts: hosts, rates: rates,
+		rfp:    e.RatesFingerprint(rates),
+		ids:    ids,
+		vms:    make([]cluster.VMSpec, n),
+		cpu:    make([]float64, n),
+		active: make([]bool, n),
+		num:    make([]float64, n),
+		inRho:  make([]bool, n),
+		tier:   make([]int, n),
+		packHs: make([]packHost, len(hosts)),
+		order:  make([]int, 0, n),
+	}
+	tiers := cat.Tiers()
+	tierOf := make(map[cluster.TierKey]int, len(tiers))
+	r.tiers = make([]reductionTier, len(tiers))
+	for t, k := range tiers {
+		tierOf[k] = t
+		for _, id := range cat.TierVMs(k) {
+			if scope.fixed.Active(id) {
+				r.tiers[t].fixed++
+			}
+		}
+	}
+	maxCPU := cat.MaxVMCPUPct()
+	for i, id := range ids {
+		r.cpu[i], r.active[i] = maxCPU, true
+		vm, ok := cat.VM(id)
+		r.vms[i] = vm
+		if !ok {
+			continue
+		}
+		t := tierOf[cluster.TierKey{App: vm.App, Tier: vm.Tier}]
+		r.tier[i] = t
+		r.tiers[t].members = append(r.tiers[t].members, i)
+		r.tiers[t].active++
+		if spec := e.model.Apps()[vm.App]; spec != nil {
+			r.inRho[i] = true
+			r.num[i] = rates[vm.App] * spec.MeanDemandMS(vm.Tier) / 1000
+		}
+	}
+
+	for _, h := range hosts {
+		spec, _ := cat.Host(h)
+		ph := packHost{
+			name:    h,
+			zone:    cat.ZoneOf(h),
+			freeCPU: spec.UsableCPUPct,
+			freeMem: spec.MemoryMB - spec.Dom0MemoryMB,
+			slots:   spec.MaxVMs,
+		}
+		// Fixed VMs on in-scope hosts consume capacity up front.
+		for _, id := range scope.fixed.VMsOnHost(h) {
+			p, _ := scope.fixed.PlacementOf(id)
+			vm, _ := cat.VM(id)
+			ph.freeCPU -= p.CPUPct
+			ph.freeMem -= vm.MemoryMB
+			ph.slots--
+			ph.used = true
+		}
+		r.hostBase = append(r.hostBase, ph)
+	}
+
+	r.spread = scope.fixed.Clone()
+	for _, h := range hosts {
+		r.spread.SetHostOn(h, true)
+	}
+	r.respread(0)
+	return r
+}
+
+// steady evaluates the current state's spread configuration.
+func (r *reduction) steady() (Steady, error) {
+	return r.e.SteadyFP(r.spread, r.rates, r.rfp)
+}
+
+// respread re-places every active VM from ordinal from onward at its
+// round-robin host, continuing the count of the active VMs before it.
+func (r *reduction) respread(from int) {
+	p := 0
+	for i := 0; i < from; i++ {
+		if r.active[i] {
+			p++
+		}
+	}
+	for i := from; i < len(r.ids); i++ {
+		if r.active[i] {
+			r.spread.Place(r.ids[i], r.hosts[p%len(r.hosts)], r.cpu[i])
+			p++
+		}
+	}
+}
+
+// setCPU sets an active VM's allocation; its spread host is unchanged.
+func (r *reduction) setCPU(i int, cpu float64) {
+	r.cpu[i] = cpu
+	p, _ := r.spread.PlacementOf(r.ids[i])
+	r.spread.Place(r.ids[i], p.Host, cpu)
+}
+
+// deactivate removes an active replica; the active VMs after it each move
+// one host back in the round-robin spread.
+func (r *reduction) deactivate(i int) {
+	r.active[i] = false
+	r.tiers[r.tier[i]].active--
+	r.spread.Unplace(r.ids[i])
+	r.respread(i + 1)
+}
+
+// activate restores a replica deactivate removed, with its old allocation.
+func (r *reduction) activate(i int) {
+	r.active[i] = true
+	r.tiers[r.tier[i]].active++
+	r.respread(i)
+}
+
+// lastActive is the highest-ordinal active replica of a tier.
+func (r *reduction) lastActive(t int) int {
+	m := r.tiers[t].members
+	for j := len(m) - 1; j >= 0; j-- {
+		if r.active[m[j]] {
+			return m[j]
+		}
+	}
+	return -1
+}
+
+// rho is the ∇ρ numerator source: the demand-weighted mean utilization of
+// the allocation, approximated from request rates and model demands.
+// Higher means tighter packing potential. Each replica carries its tier's
+// demand split across the tier's active replicas, managed or fixed.
+func (r *reduction) rho() float64 {
+	var totalDemand, totalAlloc float64
+	// Ordinal order: the two sums are floating-point folds whose last
+	// bits feed the ∇ρ gradient comparisons.
+	for i := range r.ids {
+		if !r.active[i] || !r.inRho[i] {
+			continue
+		}
+		t := &r.tiers[r.tier[i]]
+		totalDemand += r.num[i] / float64(t.active+t.fixed)
+		totalAlloc += r.cpu[i] / 100
+	}
+	if totalAlloc <= 0 {
+		return 0
+	}
+	return totalDemand / totalAlloc
+}
+
+// binPack attempts the paper's worst-fit packing of the current state: VMs
+// in decreasing size order; each goes to the used host with the largest
+// free capacity, or to a new empty host if none fits. The packed result is
+// merged over the scope's fixed remainder. On failure the ordinal of the
+// VM that could not be placed is returned, so the reduction loop can aim
+// its next cut at the actual bottleneck.
+func (r *reduction) binPack() (cluster.Config, int, bool) {
+	hs := r.packHs
+	copy(hs, r.hostBase)
+	order := r.order[:0]
+	for i := range r.ids {
+		if r.active[i] {
+			order = append(order, i)
+		}
+	}
+	// Pack VMs of the same application together (largest first within an
+	// app) so the zone-affinity preference below can keep each app inside
+	// one data center.
+	slices.SortStableFunc(order, func(a, b int) int {
+		if c := strings.Compare(r.vms[a].App, r.vms[b].App); c != 0 {
+			return c
+		}
+		return cmp.Compare(r.cpu[b], r.cpu[a])
+	})
+
+	cfg := r.scope.fixed.Clone()
+	// appZone remembers where each application's first VM landed; later
+	// VMs of the app prefer that zone, keeping tiers off the WAN. In
+	// single-zone catalogs every host shares the "" zone and the
+	// preference is vacuous (the paper's original worst-fit).
+	appZone := make(map[string]string)
+	for _, i := range order {
+		vm := r.vms[i]
+		need := r.cpu[i]
+		pool, pooled := r.scope.appPools[vm.App]
+		fits := func(h int) bool {
+			return hs[h].freeCPU >= need-1e-9 && hs[h].freeMem >= vm.MemoryMB && hs[h].slots > 0 &&
+				(!pooled || slices.Contains(pool, hs[h].name))
+		}
+		zone, hasZone := appZone[vm.App]
+		if r.scope.noAffinity {
+			hasZone = false
+		}
+		pin, pinned := r.scope.zonePins[r.ids[i]]
+		if pinned {
+			zone, hasZone = pin, true
+		}
+		pick := func(used bool, zoneOnly bool) int {
+			target := -1
+			for h := range hs {
+				if hs[h].used != used || !fits(h) {
+					continue
+				}
+				if zoneOnly && hasZone && hs[h].zone != zone {
+					continue
+				}
+				if target < 0 || hs[h].freeCPU > hs[target].freeCPU {
+					target = h
+				}
+				if !used {
+					break // first empty host (they are interchangeable)
+				}
+			}
+			return target
+		}
+		target := pick(true, true)
+		if target < 0 {
+			target = pick(false, true)
+		}
+		// A pinned application never spills to another zone; unpinned apps
+		// fall back to any host (the original worst-fit).
+		if target < 0 && !pinned {
+			target = pick(true, false)
+		}
+		if target < 0 && !pinned {
+			target = pick(false, false)
+		}
+		if target < 0 {
+			return cluster.Config{}, i, false
+		}
+		h := &hs[target]
+		h.used = true
+		h.freeCPU -= need
+		h.freeMem -= vm.MemoryMB
+		h.slots--
+		cfg.Place(r.ids[i], h.name, need)
+		if !hasZone {
+			appZone[vm.App] = h.zone
+		}
+	}
+	// Power on exactly the used hosts.
+	for h := range hs {
+		if hs[h].used {
+			cfg.SetHostOn(hs[h].name, true)
+		}
+	}
+	return cfg, -1, true
 }
 
 // sumRT aggregates the steady response times across applications, the
@@ -638,199 +922,6 @@ func sumRT(st Steady) float64 {
 		sum += st.RTSec[name]
 	}
 	return sum
-}
-
-// activeReplicas lists a tier's active replicas in ID order.
-func activeReplicas(cat *cluster.Catalog, s allocState, k cluster.TierKey) []cluster.VMID {
-	var out []cluster.VMID
-	for _, id := range cat.TierVMs(k) {
-		if _, ok := s.cpu[id]; ok {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// spreadConfig places the state's VMs round-robin over the host subset
-// (on top of the fixed remainder) ignoring capacity constraints —
-// intermediate configurations are legal for model evaluation, which depends
-// almost entirely on allocations.
-func spreadConfig(s allocState, scope packScope, hosts []string) cluster.Config {
-	cfg := scope.fixed.Clone()
-	for _, h := range hosts {
-		cfg.SetHostOn(h, true)
-	}
-	for i, id := range s.sortedVMs() {
-		cfg.Place(id, hosts[i%len(hosts)], s.cpu[id])
-	}
-	return cfg
-}
-
-// meanAllocUtil is the ∇ρ numerator source: the demand-weighted mean
-// utilization of the allocation, approximated from request rates and model
-// demands. Higher means tighter packing potential.
-func meanAllocUtil(s allocState, rates map[string]float64, e *Evaluator, scope packScope) float64 {
-	var totalDemand, totalAlloc float64
-	// Sorted VM order: the two sums are floating-point folds whose last
-	// bits feed the ∇ρ gradient comparisons; map order would flip ties.
-	for _, id := range s.sortedVMs() {
-		cpu := s.cpu[id]
-		vm, ok := e.cat.VM(id)
-		if !ok {
-			continue
-		}
-		spec := e.model.Apps()[vm.App]
-		if spec == nil {
-			continue
-		}
-		// Demand share of this replica: tier demand split across active
-		// replicas of the tier, managed or fixed.
-		k := cluster.TierKey{App: vm.App, Tier: vm.Tier}
-		n := len(activeReplicas(e.cat, s, k))
-		for _, rid := range e.cat.TierVMs(k) {
-			if scope.fixed.Active(rid) {
-				n++
-			}
-		}
-		if n == 0 {
-			continue
-		}
-		totalDemand += rates[vm.App] * spec.MeanDemandMS(vm.Tier) / 1000 / float64(n)
-		totalAlloc += cpu / 100
-	}
-	if totalAlloc <= 0 {
-		return 0
-	}
-	return totalDemand / totalAlloc
-}
-
-// binPack attempts the paper's worst-fit packing: VMs in decreasing size
-// order; each goes to the used host with the largest free capacity, or to a
-// new empty host if none fits. The packed result is merged over the scope's
-// fixed remainder. On failure the VM that could not be placed is returned,
-// so the reduction loop can aim its next cut at the actual bottleneck.
-func binPack(cat *cluster.Catalog, s allocState, scope packScope, hosts []string) (cluster.Config, bool, cluster.VMID) {
-	type hostState struct {
-		name    string
-		freeCPU float64
-		freeMem int
-		slots   int
-		used    bool
-	}
-	hs := make([]*hostState, 0, len(hosts))
-	for _, h := range hosts {
-		spec, _ := cat.Host(h)
-		st := &hostState{
-			name:    h,
-			freeCPU: spec.UsableCPUPct,
-			freeMem: spec.MemoryMB - spec.Dom0MemoryMB,
-			slots:   spec.MaxVMs,
-		}
-		// Fixed VMs on in-scope hosts consume capacity up front.
-		for _, id := range scope.fixed.VMsOnHost(h) {
-			p, _ := scope.fixed.PlacementOf(id)
-			vm, _ := cat.VM(id)
-			st.freeCPU -= p.CPUPct
-			st.freeMem -= vm.MemoryMB
-			st.slots--
-			st.used = true
-		}
-		hs = append(hs, st)
-	}
-	ids := s.sortedVMs()
-	// Pack VMs of the same application together (largest first within an
-	// app) so the zone-affinity preference below can keep each app inside
-	// one data center.
-	sort.SliceStable(ids, func(i, j int) bool {
-		vi, _ := cat.VM(ids[i])
-		vj, _ := cat.VM(ids[j])
-		if vi.App != vj.App {
-			return vi.App < vj.App
-		}
-		return s.cpu[ids[i]] > s.cpu[ids[j]]
-	})
-
-	cfg := scope.fixed.Clone()
-	// appZone remembers where each application's first VM landed; later
-	// VMs of the app prefer that zone, keeping tiers off the WAN. In
-	// single-zone catalogs every host shares the "" zone and the
-	// preference is vacuous (the paper's original worst-fit).
-	appZone := make(map[string]string)
-	for _, id := range ids {
-		vm, _ := cat.VM(id)
-		need := s.cpu[id]
-		inPool := func(hostName string) bool {
-			pool, pooled := scope.appPools[vm.App]
-			if !pooled {
-				return true
-			}
-			for _, p := range pool {
-				if p == hostName {
-					return true
-				}
-			}
-			return false
-		}
-		fits := func(h *hostState) bool {
-			return h.freeCPU >= need-1e-9 && h.freeMem >= vm.MemoryMB && h.slots > 0 && inPool(h.name)
-		}
-		zone, hasZone := appZone[vm.App]
-		if scope.noAffinity {
-			hasZone = false
-		}
-		pin, pinned := scope.zonePins[id]
-		if pinned {
-			zone, hasZone = pin, true
-		}
-		pick := func(used bool, zoneOnly bool) *hostState {
-			var target *hostState
-			for _, h := range hs {
-				if h.used != used || !fits(h) {
-					continue
-				}
-				if zoneOnly && hasZone && cat.ZoneOf(h.name) != zone {
-					continue
-				}
-				if target == nil || h.freeCPU > target.freeCPU {
-					target = h
-				}
-				if !used {
-					break // first empty host (they are interchangeable)
-				}
-			}
-			return target
-		}
-		target := pick(true, true)
-		if target == nil {
-			target = pick(false, true)
-		}
-		// A pinned application never spills to another zone; unpinned apps
-		// fall back to any host (the original worst-fit).
-		if target == nil && !pinned {
-			target = pick(true, false)
-		}
-		if target == nil && !pinned {
-			target = pick(false, false)
-		}
-		if target == nil {
-			return cluster.Config{}, false, id
-		}
-		target.used = true
-		target.freeCPU -= need
-		target.freeMem -= vm.MemoryMB
-		target.slots--
-		cfg.Place(id, target.name, need)
-		if !hasZone {
-			appZone[vm.App] = cat.ZoneOf(target.name)
-		}
-	}
-	// Power on exactly the used hosts.
-	for _, h := range hs {
-		if h.used {
-			cfg.SetHostOn(h.name, true)
-		}
-	}
-	return cfg, true, ""
 }
 
 // PerfPwrTune is the 1st-level controllers' quick variant: placements and
