@@ -74,7 +74,7 @@ func run() (err error) {
 		logLevel    = flag.String("log-level", "", "structured logging to stderr: debug, info, warn, error")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof, /metrics, /ops and /v1/query on ADDR, e.g. localhost:6060")
 		benchOut    = flag.String("bench-out", "", "bench: write the perf snapshot as JSON to FILE (BENCH_search.json schema)")
-		benchBase   = flag.String("bench-baseline", "", "bench: compare ns/expansion against this committed BENCH_search.json and fail on regression")
+		benchBase   = flag.String("bench-baseline", "", "bench: compare the work counters (exactly) and ns/expansion against this committed BENCH_search.json and fail on a mismatch or regression")
 		benchTol    = flag.Float64("bench-tolerance", 20, "bench: allowed ns/expansion regression vs -bench-baseline, in percent")
 	)
 	flag.Parse()

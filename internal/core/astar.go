@@ -16,6 +16,34 @@ import (
 	"github.com/mistralcloud/mistral/internal/provenance"
 )
 
+// Fixed settings of the adaptation search.
+const (
+	// pruneMinKeep floors the pruned width: a beam of one or two children
+	// collapses into already-visited configurations and drains the
+	// frontier before any plan is found.
+	pruneMinKeep = 6
+	// searchWatts is the power drawn by the controller host while
+	// searching; the paper measures ≈12% over a 60 W idle host.
+	searchWatts float64 = 67
+	// shapingFraction controls how strongly the search discounts its
+	// cost-to-go by §IV-B's weighted Euclidean distance to the ideal
+	// configuration: traversing the entire root-to-ideal distance forfeits
+	// this fraction of the potential gain. Values near 1 turn the search
+	// into greedy descent toward c*. Both variants shape (a pure admissible
+	// bound degenerates into near-exhaustive exploration); what
+	// distinguishes Self-Aware is the width pruning, decision deadline, and
+	// expected-utility budget.
+	shapingFraction float64 = 0.8
+	// epsilonMargin terminates the search once the best candidate found is
+	// within this fraction of the theoretical utility upper bound. The
+	// admissible heuristic makes shallow intermediates look marginally
+	// better than any reachable candidate, so exact A* degenerates into
+	// near-exhaustive search — precisely the blow-up §IV-B describes; the
+	// margin bounds that tail for the naive search without affecting which
+	// plan wins by more than ε.
+	epsilonMargin float64 = 0.01
+)
+
 // SearchOptions tunes the adaptation search of §IV-B.
 type SearchOptions struct {
 	// SelfAware enables Algorithm 1's self-cost accounting and dynamic
@@ -24,10 +52,6 @@ type SearchOptions struct {
 	// PruneFraction is the fraction of expanded children kept once the
 	// Self-Aware trigger fires (default 0.05, the paper's top 5%).
 	PruneFraction float64
-	// PruneMinKeep floors the pruned width (default 6): a beam of one or
-	// two children collapses into already-visited configurations and
-	// drains the frontier before any plan is found.
-	PruneMinKeep int
 	// DelayFraction is the search delay threshold T̄ as a fraction of the
 	// control window (default 0.05, the paper's 5%).
 	DelayFraction float64
@@ -35,10 +59,6 @@ type SearchOptions struct {
 	// generated child vertex; it makes self-awareness deterministic
 	// (default 250 µs, calibrated to the paper's search durations).
 	TimePerChild time.Duration
-	// SearchWatts is the power drawn by the controller host while
-	// searching; the paper measures ≈12% over a 60 W idle host (default
-	// 67 W).
-	SearchWatts float64
 	// MaxExpansions bounds the number of vertex expansions as a safety
 	// valve (default 2500). When hit, the best candidate found so far is
 	// returned. Without the Self-Aware beam and deadline the naive search
@@ -46,29 +66,6 @@ type SearchOptions struct {
 	// full-scenario naive replays tractable while leaving the paper's
 	// duration contrast (≈4×, Fig. 10b) visible.
 	MaxExpansions int
-	// MaxSearchTime is a hard deadline on the search's simulated elapsed
-	// time (Expanded·TimePerChild bookkeeping, so it stays deterministic
-	// at any Workers setting). When hit, the best candidate found so far
-	// is returned and the result is marked Truncated. Zero disables it;
-	// the Self-Aware deadline (2× the delay budget) usually fires first.
-	MaxSearchTime time.Duration
-	// ShapingFraction controls how strongly the search discounts its
-	// cost-to-go by §IV-B's weighted Euclidean distance to the ideal
-	// configuration: traversing the entire root-to-ideal distance forfeits
-	// this fraction of the potential gain (default 0.8; set negative to
-	// disable). Values near 1 turn the search into greedy descent toward
-	// c*. Both variants shape (a pure admissible bound degenerates into
-	// near-exhaustive exploration); what distinguishes Self-Aware is the
-	// width pruning, decision deadline, and expected-utility budget.
-	ShapingFraction float64
-	// EpsilonMargin terminates the search once the best candidate found is
-	// within this fraction of the theoretical utility upper bound
-	// (default 0.01). The admissible heuristic makes shallow intermediates
-	// look marginally better than any reachable candidate, so exact A*
-	// degenerates into near-exhaustive search — precisely the blow-up
-	// §IV-B describes; the margin bounds that tail for the naive search
-	// without affecting which plan wins by more than ε.
-	EpsilonMargin float64
 	// Workers bounds the goroutines staging an expansion's children
 	// (validate, price the transient, fingerprint, score) concurrently
 	// (default min(GOMAXPROCS, 8); 1 reproduces the serial path exactly).
@@ -96,31 +93,14 @@ func (o SearchOptions) withDefaults() SearchOptions {
 	if o.PruneFraction <= 0 || o.PruneFraction > 1 {
 		o.PruneFraction = 0.05
 	}
-	if o.PruneMinKeep <= 0 {
-		o.PruneMinKeep = 6
-	}
 	if o.DelayFraction <= 0 {
 		o.DelayFraction = 0.05
 	}
 	if o.TimePerChild <= 0 {
 		o.TimePerChild = 250 * time.Microsecond
 	}
-	if o.SearchWatts <= 0 {
-		o.SearchWatts = 67
-	}
 	if o.MaxExpansions <= 0 {
 		o.MaxExpansions = 2500
-	}
-	if o.EpsilonMargin <= 0 {
-		o.EpsilonMargin = 0.01
-	}
-	switch {
-	case o.ShapingFraction == 0:
-		o.ShapingFraction = 0.8
-	case o.ShapingFraction < 0:
-		o.ShapingFraction = 0
-	case o.ShapingFraction > 1:
-		o.ShapingFraction = 1
 	}
 	o.Workers = par.Workers(o.Workers)
 	return o
@@ -254,7 +234,6 @@ type Searcher struct {
 	hExpansions *obs.Histogram
 	hSearchMS   *obs.Histogram
 	hBatch      *obs.Histogram
-	gWorkers    *obs.Gauge
 
 	// Trace context for expansion-batch events: tc identifies the
 	// window, tcName the owning controller (span-ID uniqueness across
@@ -311,7 +290,6 @@ func (s *Searcher) SetObserver(o *obs.Observer) {
 	s.hExpansions = o.Histogram("search_expansions", []float64{10, 50, 100, 250, 500, 1000, 2500})
 	s.hSearchMS = o.Histogram("search_time_ms", []float64{1, 5, 10, 50, 100, 500, 1000, 5000})
 	s.hBatch = o.Histogram("search_batch_children", []float64{1, 2, 4, 8, 16, 32, 64, 128})
-	s.gWorkers = o.Gauge("search_workers")
 }
 
 // Search finds the action sequence maximizing Eq. 3 from configuration cfg
@@ -332,7 +310,6 @@ func (s *Searcher) record(res SearchResult) {
 		return
 	}
 	s.cInvoked.Inc()
-	s.gWorkers.Set(float64(s.opts.Workers))
 	s.cExpanded.Add(int64(res.Expanded))
 	s.cGenerated.Add(int64(res.Generated))
 	s.cPruned.Add(int64(res.PrunedChildren))
@@ -382,9 +359,8 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 	// near-free actions. The same weighted Euclidean distance §IV-B defines
 	// for pruning is folded into the cost-to-go as a penalty scaled so that
 	// traversing the full distance from the current configuration to the
-	// ideal one forfeits opts.ShapingFraction of the potential gain (0.8 by
-	// default — see SearchOptions.ShapingFraction). This grades the
-	// frontier toward c* at the price of ε-bounded (rather than exact)
+	// ideal one forfeits shapingFraction of the potential gain. This grades
+	// the frontier toward c* at the price of ε-bounded (rather than exact)
 	// optimality.
 	curRate := 0.0
 	if st, err := s.eval.SteadyFP(cfg, rates, rfp); err == nil {
@@ -397,7 +373,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 	rootDist := dc.distance(cfg, nil)
 	var distWeight float64
 	if gain := (idealRate - curRate) * cwSec; gain > 0 && rootDist > 1e-9 {
-		distWeight = opts.ShapingFraction * gain / rootDist
+		distWeight = shapingFraction * gain / rootDist
 	}
 
 	root := &vertex{cfg: cfg, fp: cfg.Fingerprint()}
@@ -427,7 +403,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 	// threshold T̄ passes — the search restricts its width. A system
 	// bleeding utility therefore triggers restriction almost immediately:
 	// deciding soon beats deciding optimally.
-	searchRate := -s.eval.util.PowerRate(opts.SearchWatts) // $/s burned by searching
+	searchRate := -s.eval.util.PowerRate(searchWatts) // $/s burned by searching
 	uh := expected.Total
 	var ut, upwrT float64
 	var elapsed time.Duration
@@ -480,7 +456,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 	var pruneIdx []int
 	var batchStart time.Duration // virtual start of the current trace batch
 
-	slack := opts.EpsilonMargin * (math.Abs(idealRate)*cwSec + 1e-9)
+	slack := epsilonMargin * (math.Abs(idealRate)*cwSec + 1e-9)
 	for open.Len() > 0 {
 		vmax := heap.Pop(open).(*vertex)
 		if vmax.utility < bestByKey[vmax.fp]-1e-12 && !vmax.finished {
@@ -514,21 +490,16 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 			}
 			return finish(bestCandidate, provenance.TermDeadline), nil
 		}
-		if res.Expanded >= opts.MaxExpansions ||
-			(opts.MaxSearchTime > 0 && elapsed >= opts.MaxSearchTime) {
+		if res.Expanded >= opts.MaxExpansions {
 			res.Truncated = true
-			term := provenance.TermMaxExpansions
-			if res.Expanded < opts.MaxExpansions {
-				term = provenance.TermMaxSearchTime
-			}
 			if dig != nil {
 				heap.Push(open, vmax)
 			}
 			if bestCandidate != nil {
-				return finish(bestCandidate, term), nil
+				return finish(bestCandidate, provenance.TermMaxExpansions), nil
 			}
 			// No candidate seen: stay put.
-			return stayPut(term)
+			return stayPut(provenance.TermMaxExpansions)
 		}
 		res.Expanded++
 		// Expansion-batch trace events: every expandBatchEvery expansions
@@ -658,8 +629,8 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		if opts.SelfAware && ((ut+upwrT) >= uh || elapsed >= delayThreshold) {
 			before := nChildren
 			keep := int(math.Ceil(float64(nChildren) * opts.PruneFraction))
-			if keep < opts.PruneMinKeep {
-				keep = opts.PruneMinKeep
+			if keep < pruneMinKeep {
+				keep = pruneMinKeep
 			}
 			if keep < nChildren {
 				// Keep the fraction closest to the ideal: the finished

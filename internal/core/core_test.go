@@ -1,7 +1,6 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -191,40 +190,6 @@ func TestPerfPwrHostSubset(t *testing.T) {
 		if h != subset[0] && h != subset[1] {
 			t.Errorf("ideal uses out-of-scope host %s", h)
 		}
-	}
-}
-
-func TestPerfPwrTuneKeepsPlacements(t *testing.T) {
-	e := newEnv(t, 4, 2)
-	w := rates(e, 60)
-	ideal, err := PerfPwrTune(e.eval, e.cfg, w, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ideal.Config.IsCandidate(e.cat) {
-		t.Fatalf("tuned config invalid: %v", ideal.Config.Validate(e.cat))
-	}
-	// Same VMs on the same hosts; only CPU may differ.
-	for _, id := range e.cfg.ActiveVMs() {
-		p0, _ := e.cfg.PlacementOf(id)
-		p1, ok := ideal.Config.PlacementOf(id)
-		if !ok || p1.Host != p0.Host {
-			t.Errorf("VM %s placement changed: %+v -> %+v", id, p0, p1)
-		}
-	}
-	if got, want := len(ideal.Config.ActiveVMs()), len(e.cfg.ActiveVMs()); got != want {
-		t.Errorf("replication changed: %d VMs, want %d", got, want)
-	}
-	// At 60 req/s the tuner should grant more CPU than the 40% default to
-	// at least one VM.
-	raised := false
-	for _, id := range e.cfg.ActiveVMs() {
-		if p, _ := ideal.Config.PlacementOf(id); p.CPUPct > 40 {
-			raised = true
-		}
-	}
-	if !raised {
-		t.Error("tuner raised no allocation at high load")
 	}
 }
 
@@ -473,7 +438,6 @@ func TestControllerZeroBandAlwaysRuns(t *testing.T) {
 	e := newEnv(t, 4, 1)
 	ctrl, err := NewController(e.eval, ControllerOptions{
 		Name:   "L1",
-		Scope:  ScopeTune,
 		Search: SearchOptions{MaxExpansions: 200},
 		Space:  cluster.ActionSpace{Kinds: []cluster.ActionKind{cluster.ActionIncreaseCPU, cluster.ActionDecreaseCPU}},
 	})
@@ -513,49 +477,5 @@ func TestControllerExpectedUtility(t *testing.T) {
 	ctrl.RecordWindow(6, 0.02, -0.01)
 	if len(ctrl.history) != 3 {
 		t.Errorf("history len = %d, want 3", len(ctrl.history))
-	}
-}
-
-func TestSearchDeadlineTruncates(t *testing.T) {
-	e := newEnv(t, 4, 2)
-	w := rates(e, 10)
-	ideal, err := PerfPwr(e.eval, w, PerfPwrOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(deadline time.Duration) SearchResult {
-		e.eval.ResetCache()
-		s := NewSearcher(e.eval, SearchOptions{MaxExpansions: 4000, MaxSearchTime: deadline})
-		res, err := s.Search(e.cfg, w, 2*time.Hour, ideal, ExpectedUtility{}, cluster.ActionSpace{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	free := run(0)
-	// A deadline of one child's simulated time trips almost immediately.
-	tight := run(time.Millisecond)
-	if !tight.Truncated {
-		t.Error("1ms deadline did not truncate the search")
-	}
-	if tight.Expanded >= free.Expanded {
-		t.Errorf("deadline did not shrink the search: %d vs %d expansions", tight.Expanded, free.Expanded)
-	}
-	if tight.SearchTime > free.SearchTime {
-		t.Errorf("deadline search took longer: %v vs %v", tight.SearchTime, free.SearchTime)
-	}
-	// The deadline is simulated time, so it is deterministic across Workers.
-	e2 := newEnv(t, 4, 2)
-	par := func(workers int) SearchResult {
-		e2.eval.ResetCache()
-		s := NewSearcher(e2.eval, SearchOptions{MaxExpansions: 4000, MaxSearchTime: 50 * time.Millisecond, Workers: workers})
-		res, err := s.Search(e2.cfg, w, 2*time.Hour, ideal, ExpectedUtility{}, cluster.ActionSpace{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if a, b := par(1), par(8); !reflect.DeepEqual(a, b) {
-		t.Errorf("deadline search diverges across workers:\n%+v\n%+v", a, b)
 	}
 }

@@ -140,10 +140,9 @@ type Evaluator struct {
 	cDedup  *obs.Counter
 	gSize   *obs.Gauge
 
-	// Sinks for the Perf-Pwr sweep (the sweep is a free function over the
+	// Sink for the Perf-Pwr sweep (the sweep is a free function over the
 	// evaluator, so its instrumentation lives here).
-	gSweepWorkers *obs.Gauge
-	cSweepArms    *obs.Counter
+	cSweepArms *obs.Counter
 }
 
 // NewEvaluator builds an evaluator.
@@ -190,7 +189,6 @@ func (e *Evaluator) SetObserver(o *obs.Observer) {
 	e.cSolves = o.Counter("lqn_solves_total")
 	e.cDedup = o.Counter("eval_inflight_dedup_total")
 	e.gSize = o.Gauge("eval_cache_entries")
-	e.gSweepWorkers = o.Gauge("perfpwr_workers")
 	e.cSweepArms = o.Counter("perfpwr_sweep_arms_total")
 }
 

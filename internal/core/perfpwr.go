@@ -32,9 +32,6 @@ const (
 	// ScopeFull repacks every VM (including dormant replicas) onto as few
 	// hosts as possible (the 2nd-level controller's view).
 	ScopeFull PerfPwrScope = iota + 1
-	// ScopeTune keeps placements and replication fixed and only retunes
-	// CPU allocations (the cheapest possible view).
-	ScopeTune
 	// ScopeSubset repacks only the VMs currently placed within a host
 	// subset, holding the rest of the system fixed (the 1st-level
 	// controllers' view: CPU tuning plus migrations inside their group).
@@ -43,8 +40,6 @@ const (
 
 // PerfPwrOptions tunes the optimizer.
 type PerfPwrOptions struct {
-	// Scope defaults to ScopeFull.
-	Scope PerfPwrScope
 	// Hosts restricts the optimizer to a subset of hosts (hierarchy
 	// levels); empty means all hosts.
 	Hosts []string
@@ -73,21 +68,9 @@ type PerfPwrOptions struct {
 // the hosts (worst-fit). The packed configuration with the highest overall
 // utility rate across host counts is the ideal configuration c*.
 func PerfPwr(e *Evaluator, rates map[string]float64, opts PerfPwrOptions) (Ideal, error) {
-	if opts.Scope == 0 {
-		opts.Scope = ScopeFull
-	}
 	hosts := opts.Hosts
 	if len(hosts) == 0 {
 		hosts = e.cat.HostNames()
-	}
-	switch opts.Scope {
-	case ScopeTune:
-		return Ideal{}, fmt.Errorf("core: ScopeTune requires a base configuration; use PerfPwrTune")
-	case ScopeSubset:
-		return Ideal{}, fmt.Errorf("core: ScopeSubset requires a base configuration; use PerfPwrSubset")
-	case ScopeFull:
-	default:
-		return Ideal{}, fmt.Errorf("core: unknown Perf-Pwr scope %d", int(opts.Scope))
 	}
 
 	scope := packScope{
@@ -237,8 +220,6 @@ func sweepHostCounts(e *Evaluator, rates map[string]float64, scope packScope, ho
 			arms = append(arms, arm{n, alt})
 		}
 	}
-	workers = par.Workers(workers)
-	e.gSweepWorkers.Set(float64(workers))
 	e.cSweepArms.Add(int64(len(arms)))
 
 	type armResult struct {
@@ -247,7 +228,7 @@ func sweepHostCounts(e *Evaluator, rates map[string]float64, scope packScope, ho
 		err   error
 	}
 	results := make([]armResult, len(arms))
-	par.For(len(arms), workers, func(i int) {
+	par.For(len(arms), par.Workers(workers), func(i int) {
 		a := arms[i]
 		cfg, ok, err := packWithReduction(e, rates, a.scope, hosts[:a.n])
 		if err != nil || !ok {
@@ -922,105 +903,4 @@ func sumRT(st Steady) float64 {
 		sum += st.RTSec[name]
 	}
 	return sum
-}
-
-// PerfPwrTune is the 1st-level controllers' quick variant: placements and
-// replication are fixed; only CPU allocations change. Starting from each
-// host's capacity split proportionally to current allocations, it reduces
-// by gradient until every host satisfies its capacity constraint.
-func PerfPwrTune(e *Evaluator, base cluster.Config, rates map[string]float64, hosts []string) (Ideal, error) {
-	cat := e.cat
-	inScope := func(h string) bool {
-		if len(hosts) == 0 {
-			return true
-		}
-		for _, s := range hosts {
-			if s == h {
-				return true
-			}
-		}
-		return false
-	}
-
-	// Start: every in-scope VM raised to the maximum its host could give it
-	// alone; out-of-scope VMs stay fixed.
-	cfg := base.Clone()
-	var scoped []cluster.VMID
-	for _, id := range base.ActiveVMs() {
-		p, _ := base.PlacementOf(id)
-		if !inScope(p.Host) {
-			continue
-		}
-		spec, _ := cat.Host(p.Host)
-		cfg.Place(id, p.Host, spec.UsableCPUPct)
-		scoped = append(scoped, id)
-	}
-	if len(scoped) == 0 {
-		st, err := e.Steady(base, rates)
-		if err != nil {
-			return Ideal{}, err
-		}
-		return Ideal{Config: base.Clone(), Steady: st}, nil
-	}
-
-	overloaded := func(c cluster.Config) bool {
-		for _, h := range c.ActiveHosts() {
-			spec, _ := cat.Host(h)
-			if c.AllocatedCPU(h) > spec.UsableCPUPct+1e-9 {
-				return true
-			}
-		}
-		return false
-	}
-
-	for iter := 0; overloaded(cfg); iter++ {
-		if iter > 10000 {
-			return Ideal{}, fmt.Errorf("core: Perf-Pwr tune did not converge")
-		}
-		curSteady, err := e.Steady(cfg, rates)
-		if err != nil {
-			return Ideal{}, err
-		}
-		bestGradient := math.Inf(-1)
-		bestRT := math.Inf(1)
-		var bestCfg cluster.Config
-		var found bool
-		for _, id := range scoped {
-			p, _ := cfg.PlacementOf(id)
-			spec, _ := cat.Host(p.Host)
-			if cfg.AllocatedCPU(p.Host) <= spec.UsableCPUPct+1e-9 {
-				continue // host already fits; don't shrink its VMs
-			}
-			if p.CPUPct-cat.CPUStepPct < cat.MinCPUPct-1e-9 {
-				continue
-			}
-			cand := cfg.Clone()
-			cand.Place(id, p.Host, p.CPUPct-cat.CPUStepPct)
-			st, err := e.Steady(cand, rates)
-			if err != nil {
-				return Ideal{}, err
-			}
-			dPerf := curSteady.PerfRate - st.PerfRate
-			g := math.Inf(1)
-			if dPerf > 1e-12 {
-				g = cat.CPUStepPct / dPerf
-			}
-			rt := sumRT(st)
-			if g > bestGradient || (g == bestGradient && rt < bestRT) {
-				bestGradient = g
-				bestRT = rt
-				bestCfg = cand
-				found = true
-			}
-		}
-		if !found {
-			return Ideal{}, fmt.Errorf("core: Perf-Pwr tune cannot satisfy capacity constraints")
-		}
-		cfg = bestCfg
-	}
-	st, err := e.Steady(cfg, rates)
-	if err != nil {
-		return Ideal{}, err
-	}
-	return Ideal{Config: cfg, Steady: st}, nil
 }

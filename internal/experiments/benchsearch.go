@@ -16,9 +16,10 @@ import (
 // by `mistral-exp -run bench` (and, for whole replays, by
 // `mistral-sim -bench-json`). The committed BENCH_search.json at the repo
 // root is one of these, and the CI benchmark leg compares a fresh run's
-// NsPerExpansion against it. Wall-clock figures are machine-dependent;
-// Expansions, Generated, and CacheHitPct are deterministic for a seed and
-// double as a cheap drift check between runs.
+// work counters and NsPerExpansion against it. Wall-clock figures are
+// machine-dependent; Expansions, Generated, and CacheHitPct are
+// deterministic for a seed, and CompareBaseline holds the first two to the
+// baseline exactly.
 type BenchResult struct {
 	// Fixture provenance.
 	Seed      uint64 `json:"seed"`
@@ -155,10 +156,11 @@ func (r *BenchResult) WriteJSON(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// CompareBaseline checks the run against a committed BenchResult JSON:
-// NsPerExpansion may not regress by more than tolerancePct percent. It
-// returns a human-readable verdict line, or an error when the regression
-// gate trips (or the baseline is unreadable).
+// CompareBaseline checks the run against a committed BenchResult JSON.
+// The deterministic work counters (Expansions, Generated) must equal the
+// baseline's exactly, and NsPerExpansion may not regress by more than
+// tolerancePct percent. It returns a human-readable verdict line, or an
+// error when either gate trips (or the baseline is unreadable).
 func (r *BenchResult) CompareBaseline(path string, tolerancePct float64) (string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -171,14 +173,19 @@ func (r *BenchResult) CompareBaseline(path string, tolerancePct float64) (string
 	if base.NsPerExpansion <= 0 {
 		return "", fmt.Errorf("bench baseline %s: ns_per_expansion missing", path)
 	}
+	if r.Expansions != base.Expansions || r.Generated != base.Generated {
+		return "", fmt.Errorf("bench counters differ: %d expansions, %d generated vs baseline %d, %d (seed %d, %d windows vs baseline seed %d, %d windows)",
+			r.Expansions, r.Generated, base.Expansions, base.Generated, r.Seed, r.Windows, base.Seed, base.Windows)
+	}
+	counters := fmt.Sprintf("counters match (%d expansions, %d generated)", r.Expansions, r.Generated)
 	limit := base.NsPerExpansion * (1 + tolerancePct/100)
 	ratio := r.NsPerExpansion / base.NsPerExpansion
 	if r.NsPerExpansion > limit {
-		return "", fmt.Errorf("bench regression: %.0f ns/expansion vs baseline %.0f (%.2fx, tolerance %+.0f%%)",
-			r.NsPerExpansion, base.NsPerExpansion, ratio, tolerancePct)
+		return "", fmt.Errorf("bench regression: %.0f ns/expansion vs baseline %.0f (%.2fx, tolerance %+.0f%%); %s",
+			r.NsPerExpansion, base.NsPerExpansion, ratio, tolerancePct, counters)
 	}
-	return fmt.Sprintf("bench ok: %.0f ns/expansion vs baseline %.0f (%.2fx, tolerance %+.0f%%)",
-		r.NsPerExpansion, base.NsPerExpansion, ratio, tolerancePct), nil
+	return fmt.Sprintf("bench ok: %s; %.0f ns/expansion vs baseline %.0f (%.2fx, tolerance %+.0f%%)",
+		counters, r.NsPerExpansion, base.NsPerExpansion, ratio, tolerancePct), nil
 }
 
 // Table renders the snapshot for the mistral-exp emitter.

@@ -58,3 +58,41 @@ func TestBenchSearchSnapshot(t *testing.T) {
 		t.Error("10x regression passed the 20% gate")
 	}
 }
+
+// TestCompareBaselineGates checks both baseline gates on fixed snapshots:
+// the work counters must match exactly, and ns/expansion may not regress
+// past the tolerance.
+func TestCompareBaselineGates(t *testing.T) {
+	base := BenchResult{Seed: 42, Windows: 64, Expansions: 2032, Generated: 87096, NsPerExpansion: 1000}
+	path := filepath.Join(t.TempDir(), "base.json")
+	if err := base.WriteJSON(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		edit    func(*BenchResult)
+		wantErr string // empty: the comparison passes
+	}{
+		{"equal counters", func(*BenchResult) {}, ""},
+		{"expansions off by one", func(r *BenchResult) { r.Expansions++ }, "bench counters differ"},
+		{"ns/expansion past tolerance", func(r *BenchResult) { r.NsPerExpansion = 1300 }, "bench regression"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := base
+			tc.edit(&r)
+			verdict, err := r.CompareBaseline(path, 20)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("unexpected failure: %v", err)
+				}
+				if !strings.Contains(verdict, "counters match") {
+					t.Errorf("verdict %q does not report the counter check", verdict)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Errorf("got %v, want an error containing %q", err, tc.wantErr)
+			}
+		})
+	}
+}

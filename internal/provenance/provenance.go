@@ -51,6 +51,8 @@ const (
 	// TermMaxExpansions: the expansion cap was hit (best-so-far returned).
 	TermMaxExpansions = "max-expansions"
 	// TermMaxSearchTime: the simulated search-time deadline was hit.
+	// Searches no longer carry such a deadline; the value stays valid so
+	// streams recorded by older builds still validate.
 	TermMaxSearchTime = "max-search-time"
 	// TermExhausted: the open set drained without a finished vertex.
 	TermExhausted = "frontier-exhausted"
@@ -149,8 +151,8 @@ type StepProv struct {
 	// Retry marks a re-execution of a previously failed action (with its
 	// attempt number); Retryable marks a failure the retry queue may yet
 	// complete.
-	Retry     int  `json:"retry,omitempty"`
-	Retryable bool `json:"retryable,omitempty"`
+	Retry     int    `json:"retry,omitempty"`
+	Retryable bool   `json:"retryable,omitempty"`
 	Err       string `json:"err,omitempty"`
 }
 
@@ -177,12 +179,13 @@ type PredictProv struct {
 	BandWidth float64 `json:"band_width"`
 	// MeasuredSec is the just-completed stability interval; PredictedSec
 	// the raw ARMA prediction for the next one; CWSec the control window
-	// after the MinCW/CrisisCW floors.
+	// after the MinCW floor.
 	MeasuredSec  float64 `json:"measured_interval_sec"`
 	PredictedSec float64 `json:"predicted_interval_sec"`
 	CWSec        float64 `json:"cw_sec"`
 	// Floor names the floor that raised the prediction to CWSec:
-	// "min-cw", "crisis-cw", or empty when the raw prediction was used.
+	// "min-cw", or empty when the raw prediction was used ("crisis-cw"
+	// appears only in streams recorded by older builds).
 	Floor string `json:"floor,omitempty"`
 	// Beta is the ARMA mixing weight used for the current prediction;
 	// ARMAMeasured / ARMAErrors are the estimator's bounded histories

@@ -21,6 +21,12 @@ import (
 	"github.com/mistralcloud/mistral/internal/scenario"
 )
 
+// l3Band is the 3rd-level (cross-data-center) controller's band width in
+// req/s. The 3rd level exists only when the catalog spans more than one
+// zone; it alone wields WAN migration (§VI extension) and plans over much
+// longer control windows.
+const l3Band = 20
+
 // MistralConfig configures the hierarchical Mistral strategy.
 type MistralConfig struct {
 	// HostGroups are the 1st-level controllers' host scopes; nil creates a
@@ -29,11 +35,6 @@ type MistralConfig struct {
 	// L2Band is the 2nd-level controller's workload band width in req/s
 	// (default 8, the paper's setting). 1st-level bands are always 0.
 	L2Band float64
-	// L3Band is the 3rd-level (cross-data-center) controller's band width
-	// (default 20 req/s). The 3rd level exists only when the catalog spans
-	// more than one zone; it alone wields WAN migration (§VI extension)
-	// and plans over much longer control windows.
-	L3Band float64
 	// Search configures the A* search; its SelfAware flag is overridden by
 	// Naive below.
 	Search core.SearchOptions
@@ -42,9 +43,6 @@ type MistralConfig struct {
 	Naive bool
 	// MonitoringInterval is M (default 2 minutes).
 	MonitoringInterval time.Duration
-	// CrisisCW overrides the 2nd-level controller's crisis control-window
-	// floor (default 12×M; see core.ControllerOptions.CrisisCW).
-	CrisisCW time.Duration
 	// Workers bounds the hierarchy's evaluation concurrency: each
 	// controller's Perf-Pwr sweep and search fan-out, and how many
 	// 1st-level controllers decide concurrently over the shared evaluator
@@ -133,7 +131,6 @@ func NewMistral(eval *core.Evaluator, cfg MistralConfig) (*Mistral, error) {
 		PinAppsToZones:     multiZone, // WAN moves belong to the 3rd level
 		Search:             search,
 		MonitoringInterval: cfg.MonitoringInterval,
-		CrisisCW:           cfg.CrisisCW,
 		Workers:            cfg.Workers,
 		Obs:                cfg.Obs,
 		Provenance:         cfg.Provenance,
@@ -143,12 +140,9 @@ func NewMistral(eval *core.Evaluator, cfg MistralConfig) (*Mistral, error) {
 	}
 	m := &Mistral{name: name, eval: eval, workers: par.Workers(cfg.Workers), l2: l2}
 	if multiZone {
-		if cfg.L3Band <= 0 {
-			cfg.L3Band = 20
-		}
 		l3, err := core.NewController(eval, core.ControllerOptions{
 			Name:               name + "/L3",
-			BandWidth:          cfg.L3Band,
+			BandWidth:          l3Band,
 			Scope:              core.ScopeFull,
 			Search:             search,
 			MonitoringInterval: cfg.MonitoringInterval,
